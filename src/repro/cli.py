@@ -58,6 +58,7 @@ from repro.obs import (
     write_jsonl,
     write_summary,
 )
+from repro.obs.export import write_trace
 from repro.soc import PMKind, Soc, WorkloadExecutor, build_pm
 from repro.soc.presets import soc_3x3, soc_4x4, soc_6x6_chip
 from repro.workloads import (
@@ -761,8 +762,6 @@ def cmd_bench_compare(args: argparse.Namespace) -> int:
 
 def cmd_bench_profile(args: argparse.Namespace) -> int:
     """Phase-profile one benchmark and print where the time went."""
-    import json as json_mod
-
     from repro.perf import (
         REGISTRY,
         PerfError,
@@ -796,8 +795,7 @@ def cmd_bench_profile(args: argparse.Namespace) -> int:
         print(line)
     if args.trace_out:
         try:
-            path = Path(args.trace_out)
-            path.write_text(json_mod.dumps(phase_chrome_trace(profiler)))
+            path = write_trace(phase_chrome_trace(profiler), args.trace_out)
         except OSError as exc:
             print(f"error: cannot write trace: {exc}", file=sys.stderr)
             return 2

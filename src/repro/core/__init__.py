@@ -19,7 +19,6 @@ Public surface:
 from repro.core.analysis import (
     ExchangeCase,
     classify_exchange,
-    error_delta_bound,
     is_local_minimum,
 )
 from repro.core.coins import (
@@ -53,7 +52,6 @@ __all__ = [
     "TileCoins",
     "TrialResult",
     "classify_exchange",
-    "error_delta_bound",
     "global_error",
     "group_exchange",
     "heterogeneous_scenario",

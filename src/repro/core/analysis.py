@@ -48,21 +48,6 @@ def classify_exchange(
     return ExchangeCase.STRADDLE_LOW
 
 
-def error_delta_bound(
-    i: TileCoins, j: TileCoins, alpha: float
-) -> float:
-    """Upper bound on the change of E_i + E_j for this exchange.
-
-    0.0 for the straddle cases (the error strictly does not increase
-    beyond rounding); one coin of slack for the constant-error cases,
-    covering integer rounding of the targets.
-    """
-    case = classify_exchange(i, j, alpha)
-    if case in (ExchangeCase.STRADDLE_HIGH, ExchangeCase.STRADDLE_LOW):
-        return 1.0  # strict decrease up to one rounding coin
-    return 1.0
-
-
 def pair_error(
     i: TileCoins, j: TileCoins, alpha: float
 ) -> float:

@@ -1,7 +1,6 @@
 """The scoped fast flag gating every fault-injection point.
 
-Exactly the :mod:`repro.obs.runtime` pattern: instrumented call sites
-read one module attribute and branch::
+Instrumented call sites read one module attribute and branch::
 
     from repro.faults import runtime as _faults
     ...
@@ -15,35 +14,25 @@ bit-identical either way.  An installed injector whose plan carries
 zero rates also leaves runs bit-identical: the injector never
 schedules, reorders, or mutates anything unless a fault actually fires.
 
-Like the observability sink, the lookup is *scoped*, not process-wide:
-``injector`` is served by a module-level ``__getattr__`` (PEP 562)
-backed by a :class:`contextvars.ContextVar`, so every thread — and
-every asyncio task — resolves its own injector.  Two fault-injected
-scenarios on two serve lanes each decide from their own plan's RNG
-stream without entangling.  Within one context only one injector may
-be installed at a time; use :func:`injecting` to scope one to a
-``with`` block.  ContextVar state set inside a thread persists on that
-thread (pools reuse threads), so :func:`uninstall` in a ``finally``
-stays load-bearing outside ``injecting``.
-
-Fault-free runs pay nothing for the scoping: while no injector is
-installed anywhere in the process, a real ``injector = None`` module
-attribute keeps every read at one global load (the same fast-path
-trick as :mod:`repro.obs.runtime` — a ContextVar read through module
-``__getattr__`` is ~15x a global load, and the NoC consults this flag
-per packet).  The first :func:`install` anywhere deletes the
-attribute; the last :func:`uninstall` restores it.
+The flag is a :class:`~repro.obs.runtime.ScopedSlot`, the same
+mechanism as the observability sink: every thread — and every asyncio
+task — resolves its own injector, so two fault-injected scenarios on
+two serve lanes each decide from their own plan's RNG stream, and
+fault-free runs still read one module-dict load.  Within one context
+only one injector may be installed at a time; use :func:`injecting` to
+scope one to a ``with`` block.  ContextVar state set inside a thread
+persists on that thread (pools reuse threads), so :func:`uninstall` in
+a ``finally`` stays load-bearing outside ``injecting``.
 """
 
 from __future__ import annotations
 
-import threading
 from contextlib import contextmanager
-from contextvars import ContextVar
 from typing import Iterator, Optional, Union
 
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultPlan, FaultPlanError
+from repro.obs.runtime import ScopedSlot
 
 __all__ = [
     "current",
@@ -55,73 +44,22 @@ __all__ = [
     "uninstall",
 ]
 
-#: The per-context injector slot.  ``None`` means fault injection is
-#: disabled in this context.  Never set this from outside this module;
-#: use :func:`install` / :func:`uninstall` / :func:`injecting`.
-_INJECTOR_VAR: ContextVar[Optional[FaultInjector]] = ContextVar(
-    "repro_fault_injector", default=None
+_SLOT: ScopedSlot[FaultInjector] = ScopedSlot(
+    globals(),
+    "injector",
+    FaultPlanError,
+    "a fault injector is already installed; uninstall it first "
+    "(nesting injectors would entangle their decision streams)",
 )
 
-#: How many contexts currently have an injector installed; while zero
-#: the fast-path attribute below serves fault-off reads.
-_active_installs = 0
-_active_lock = threading.Lock()
+#: This context's injector, or ``None`` when fault injection is off here.
+injector: Optional[FaultInjector]
 
-#: The fault-off fast path: a real attribute, deleted while any
-#: context injects and restored when the last injector is removed.
-injector: Optional[FaultInjector] = None
-
-
-def __getattr__(name: str) -> Optional[FaultInjector]:
-    # PEP 562: serves the historical ``runtime.injector`` module
-    # attribute from the context-local slot, keeping every injection
-    # point's one-load-plus-None-test fast path with zero churn.
-    if name == "injector":
-        return _INJECTOR_VAR.get()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def current() -> Optional[FaultInjector]:
-    """The injector installed in the *current* context, or ``None``."""
-    return _INJECTOR_VAR.get()
-
-
-def enabled() -> bool:
-    """True when a fault injector is installed in this context."""
-    return _INJECTOR_VAR.get() is not None
-
-
-def install(new_injector: FaultInjector) -> FaultInjector:
-    """Install ``new_injector`` as this context's fault injector."""
-    global _active_installs
-    if _INJECTOR_VAR.get() is not None:
-        raise FaultPlanError(
-            "a fault injector is already installed; uninstall it first "
-            "(nesting injectors would entangle their decision streams)"
-        )
-    _INJECTOR_VAR.set(new_injector)
-    with _active_lock:
-        _active_installs += 1
-        if _active_installs == 1:
-            # First injector in the process: route reads through the
-            # per-context slot.
-            globals().pop("injector", None)
-    return new_injector
-
-
-def uninstall() -> Optional[FaultInjector]:
-    """Remove this context's installed injector (if any) and return it."""
-    global _active_installs
-    removed = _INJECTOR_VAR.get()
-    if removed is None:
-        return None
-    _INJECTOR_VAR.set(None)
-    with _active_lock:
-        _active_installs -= 1
-        if _active_installs == 0:
-            # Last injector gone: restore the one-global-load fast path.
-            globals()["injector"] = None
-    return removed
+__getattr__ = _SLOT.module_getattr
+current = _SLOT.current
+enabled = _SLOT.enabled
+install = _SLOT.install
+uninstall = _SLOT.uninstall
 
 
 @contextmanager

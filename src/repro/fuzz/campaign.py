@@ -18,7 +18,6 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 from repro.fuzz.corpus import Corpus, ReproBundle
 from repro.fuzz.generate import generate_scenario
 from repro.fuzz.oracles import run_oracles
-from repro.fuzz.scenario import Scenario
 from repro.fuzz.shrink import shrink_scenario
 
 __all__ = ["CampaignSummary", "fuzz_campaign", "replay_corpus"]
@@ -135,9 +134,3 @@ def replay_corpus(
         else:
             say(f"{digest[:12]} ok")
     return count, broken
-
-
-def replay_bundle_scenario(scenario: Scenario, key: str) -> Tuple[bool, str]:
-    """Re-run a bundle's scenario; (reproduced?, fingerprint)."""
-    outcome = run_oracles(scenario)
-    return key in outcome.failure_keys, outcome.fingerprint

@@ -14,8 +14,11 @@ The Chrome-trace exporter emits the `trace_event` format that both
   numeric samples ``ph: "C"`` counter tracks, and parent/child span
   links ``ph: "s"`` / ``ph: "f"`` flow arrows.
 
-:func:`validate_chrome_trace` is the schema check used by the tests
-and the CI traced-experiment step.
+This is the repo's one Chrome-trace writer: :func:`metadata_event`,
+:func:`trace_document` and :func:`write_trace` also build and write
+the wall-time phase trace of :mod:`repro.perf.phase` (``bench profile
+--trace-out``).  :func:`validate_chrome_trace` is the schema check
+used by the tests and by CI on both kinds of trace.
 """
 
 from __future__ import annotations
@@ -31,17 +34,56 @@ from repro.obs.spans import Span
 __all__ = [
     "chrome_trace",
     "jsonl_records",
+    "metadata_event",
     "summary_lines",
+    "trace_document",
     "validate_chrome_trace",
     "write_chrome_trace",
     "write_jsonl",
     "write_summary",
+    "write_trace",
 ]
 
 JsonDict = Dict[str, object]
 
 #: ``ph`` values this exporter may emit.
 _KNOWN_PHASES = ("X", "i", "C", "M", "s", "f")
+
+
+def metadata_event(kind: str, pid: int, tid: int, name: str) -> JsonDict:
+    """A ``process_name`` / ``thread_name`` metadata (``ph: "M"``) event."""
+    return {
+        "ph": "M",
+        "name": kind,
+        "pid": pid,
+        "tid": tid,
+        "ts": 0,
+        "args": {"name": name},
+    }
+
+
+def trace_document(
+    events: List[JsonDict],
+    other: JsonDict,
+    *,
+    display_time_unit: Optional[str] = None,
+) -> JsonDict:
+    """The ``traceEvents`` / ``otherData`` envelope Perfetto loads.
+
+    ``other["time_unit"]`` advertises what ``ts``/``dur`` count.
+    """
+    doc: JsonDict = {"traceEvents": events, "otherData": other}
+    if display_time_unit is not None:
+        doc["displayTimeUnit"] = display_time_unit
+    return doc
+
+
+def write_trace(doc: JsonDict, path: Union[str, Path]) -> Path:
+    """Write a Chrome-trace document as sorted-key JSON; returns the path."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(doc, sort_keys=True))
+    return path
 
 
 class _TrackMap:
@@ -69,27 +111,9 @@ class _TrackMap:
             self._pids.items(), key=lambda kv: kv[1]
         ):
             label = f"{epoch}:{cat}" if epoch else cat
-            events.append(
-                {
-                    "ph": "M",
-                    "name": "process_name",
-                    "pid": pid,
-                    "tid": 0,
-                    "ts": 0,
-                    "args": {"name": label},
-                }
-            )
+            events.append(metadata_event("process_name", pid, 0, label))
         for (pid, tid), name in sorted(self._threads.items()):
-            events.append(
-                {
-                    "ph": "M",
-                    "name": "thread_name",
-                    "pid": pid,
-                    "tid": tid,
-                    "ts": 0,
-                    "args": {"name": name},
-                }
-            )
+            events.append(metadata_event("thread_name", pid, tid, name))
         return events
 
 
@@ -198,19 +222,12 @@ def chrome_trace(obs: Observation) -> JsonDict:
         "events_profiled": obs.profile.events_total,
     }
     other.update(obs.meta)
-    return {
-        "traceEvents": events,
-        "displayTimeUnit": "ns",
-        "otherData": other,
-    }
+    return trace_document(events, other, display_time_unit="ns")
 
 
 def write_chrome_trace(obs: Observation, path: Union[str, Path]) -> Path:
     """Write the Chrome-trace JSON for ``obs``; returns the path."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(chrome_trace(obs), sort_keys=True))
-    return path
+    return write_trace(chrome_trace(obs), path)
 
 
 # ------------------------------------------------------------------ validate

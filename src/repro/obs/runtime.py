@@ -13,36 +13,19 @@ attribute lookup plus an ``is None`` test — the simulation executes
 the same instruction path as an uninstrumented build, and results are
 bit-identical either way because sinks observe but never schedule.
 
-The lookup is *scoped*, not process-wide: ``sink`` is served by a
-module-level ``__getattr__`` (PEP 562) backed by a
-:class:`contextvars.ContextVar`, so every thread — and every asyncio
-task — resolves its own sink.  Two simulations in two threads can
-each install their own sink without seeing the other's; a fresh
-thread (or a context where nothing was installed) sees ``None`` and
-runs uninstrumented.  This is what lets ``repro.serve`` run N
-execution lanes in one process, each streaming its own job.
-
-The disabled path pays nothing for that scoping: while *no* sink is
-installed anywhere in the process, a real module attribute ``sink =
-None`` is bound, so every read is the same single module-dict load
-the pre-scoped runtime did (a ContextVar read through module
-``__getattr__`` costs ~15x a global load — far too hot for a branch
-the simulator takes at every instrumentation point).  The first
-:func:`install` anywhere deletes that attribute, routing reads
-through the per-context slot; the last :func:`uninstall` restores it.
-Readers need no lock: a context whose slot is empty correctly reads
-``None`` on either path, so the attribute flipping under a reader is
-benign.  The one discipline this requires is the one the runtime
-already demanded: every install is paired with an uninstall *in the
-same context* (``observing`` does this for you).
+The lookup is *scoped*, not process-wide: every thread — and every
+asyncio task — resolves its own sink, and a context where nothing was
+installed sees ``None``.  This is what lets ``repro.serve`` run N
+execution lanes in one process, each streaming its own job.  The
+mechanism is :class:`ScopedSlot`, which :mod:`repro.faults.runtime`
+reuses for the fault injector.
 
 Within one context only one sink may be installed at a time —
-:func:`install` raises on nesting, exactly as the old process-wide
-runtime did — and :func:`observing` scopes a sink to a ``with``
-block.  Because :class:`~contextvars.ContextVar` state set inside a
-thread *persists* on that thread (thread pools reuse threads),
-:func:`uninstall` in a ``finally`` remains load-bearing for any code
-that installs outside ``observing``.
+:func:`install` raises on nesting — and :func:`observing` scopes a
+sink to a ``with`` block.  ContextVar state set inside a thread
+*persists* on that thread (thread pools reuse threads), so
+:func:`uninstall` in a ``finally`` is load-bearing for any code that
+installs outside ``observing``.
 """
 
 from __future__ import annotations
@@ -50,11 +33,12 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Iterator, Optional
+from typing import Any, Dict, Generic, Iterator, Optional, Type, TypeVar
 
 from repro.obs.sink import ObsError, ObsSink, Observation
 
 __all__ = [
+    "ScopedSlot",
     "current",
     "enabled",
     "install",
@@ -63,76 +47,119 @@ __all__ = [
     "uninstall",
 ]
 
-#: The per-context sink slot.  ``None`` means observability is
-#: disabled in this context.  Never set this from outside this module
-#: (blitzlint P1 flags direct writes to ``runtime.sink``); use
-#: :func:`install` / :func:`uninstall` / :func:`observing`.
-_SINK_VAR: ContextVar[Optional[ObsSink]] = ContextVar(
-    "repro_obs_sink", default=None
+T = TypeVar("T")
+
+
+class ScopedSlot(Generic[T]):
+    """A per-context value served as a module attribute.
+
+    ``ScopedSlot(globals(), "sink", ...)`` makes ``module.sink`` read
+    the value installed in the *current* context: it lives in a
+    :class:`~contextvars.ContextVar`, and the module binds
+    :meth:`module_getattr` as its PEP 562 ``__getattr__``.  That read
+    costs ~20x a module-global load, too hot for a branch taken per
+    event and per packet, so while *no* context in the process has a
+    value installed a real ``module.sink = None`` attribute shadows
+    ``__getattr__``: the first :meth:`install` anywhere unbinds it, the
+    last :meth:`uninstall` rebinds it.  Readers need no lock: a context
+    whose slot is empty reads ``None`` on either path.  Never assign
+    the attribute directly (blitzlint P1 flags it).
+    """
+
+    def __init__(
+        self,
+        namespace: Dict[str, Any],
+        attr: str,
+        error: Type[Exception],
+        nested_message: str,
+    ) -> None:
+        self._namespace = namespace
+        self._attr = attr
+        self._error = error
+        self._nested_message = nested_message
+        self._var: ContextVar[Optional[T]] = ContextVar(
+            f"{namespace['__name__']}.{attr}", default=None
+        )
+        #: Contexts with a value installed, process-wide.
+        self._installs = 0
+        self._lock = threading.Lock()
+        namespace[attr] = None
+
+    def module_getattr(self, name: str) -> Optional[T]:
+        """The module's ``__getattr__``: serves the attribute per context."""
+        if name == self._attr:
+            return self._var.get()
+        raise AttributeError(
+            f"module {self._namespace['__name__']!r} has no attribute {name!r}"
+        )
+
+    def current(self) -> Optional[T]:
+        """The value installed in the *current* context, or ``None``."""
+        return self._var.get()
+
+    def enabled(self) -> bool:
+        """True when a value is installed in this context."""
+        return self._var.get() is not None
+
+    def install(self, value: T) -> T:
+        """Install ``value`` in this context; raise if one already is."""
+        if self._var.get() is not None:
+            raise self._error(self._nested_message)
+        self._var.set(value)
+        with self._lock:
+            self._installs += 1
+            if self._installs == 1:
+                self._namespace.pop(self._attr, None)
+        return value
+
+    def uninstall(self) -> Optional[T]:
+        """Remove this context's value (if any) and return it."""
+        removed = self._var.get()
+        if removed is None:
+            return None
+        self._var.set(None)
+        with self._lock:
+            self._installs -= 1
+            if self._installs == 0:
+                self._namespace[self._attr] = None
+        return removed
+
+    @contextmanager
+    def contextvar_only(self) -> Iterator[None]:
+        """Benchmark-only: force every read through the ContextVar.
+
+        Unbinds the fast-path attribute — the path all reads take while
+        *any* context has a value installed — so a benchmark can price
+        it without holding a value installed elsewhere.  On exit the
+        attribute is rebound iff nothing is installed.  Single-threaded
+        benchmarks only.
+        """
+        self._namespace.pop(self._attr, None)
+        try:
+            yield
+        finally:
+            with self._lock:
+                if self._installs == 0:
+                    self._namespace[self._attr] = None
+
+
+_SLOT: ScopedSlot[ObsSink] = ScopedSlot(
+    globals(),
+    "sink",
+    ObsError,
+    "an observability sink is already installed in this context; "
+    "uninstall it first (nesting sinks would double-count instruments)",
 )
 
-#: How many contexts currently have a sink installed, process-wide.
-#: While zero, the fast-path ``sink = None`` module attribute below
-#: shadows ``__getattr__`` and obs-off reads cost one global load.
-_active_installs = 0
-_active_lock = threading.Lock()
+#: This context's sink, or ``None`` when observability is off here.
+sink: Optional[ObsSink]
 
-#: The obs-off fast path: a real attribute, deleted while any context
-#: observes and restored when the last sink is uninstalled.
-sink: Optional[ObsSink] = None
-
-
-def __getattr__(name: str) -> Optional[ObsSink]:
-    # PEP 562: serves the historical ``runtime.sink`` module attribute
-    # from the context-local slot, so all instrumented call sites keep
-    # their one-load-plus-None-test fast path with zero churn.
-    if name == "sink":
-        return _SINK_VAR.get()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def current() -> Optional[ObsSink]:
-    """The sink installed in the *current* context, or ``None``."""
-    return _SINK_VAR.get()
-
-
-def enabled() -> bool:
-    """True when an observability sink is installed in this context."""
-    return _SINK_VAR.get() is not None
-
-
-def install(new_sink: ObsSink) -> ObsSink:
-    """Install ``new_sink`` as this context's observability sink."""
-    global _active_installs
-    if _SINK_VAR.get() is not None:
-        raise ObsError(
-            "an observability sink is already installed in this context; "
-            "uninstall it first (nesting sinks would double-count "
-            "instruments)"
-        )
-    _SINK_VAR.set(new_sink)
-    with _active_lock:
-        _active_installs += 1
-        if _active_installs == 1:
-            # First observer in the process: route reads through the
-            # per-context slot.
-            globals().pop("sink", None)
-    return new_sink
-
-
-def uninstall() -> Optional[ObsSink]:
-    """Remove this context's installed sink (if any) and return it."""
-    global _active_installs
-    removed = _SINK_VAR.get()
-    if removed is None:
-        return None
-    _SINK_VAR.set(None)
-    with _active_lock:
-        _active_installs -= 1
-        if _active_installs == 0:
-            # Last observer gone: restore the one-global-load fast path.
-            globals()["sink"] = None
-    return removed
+__getattr__ = _SLOT.module_getattr
+current = _SLOT.current
+enabled = _SLOT.enabled
+install = _SLOT.install
+uninstall = _SLOT.uninstall
+_contextvar_only = _SLOT.contextvar_only
 
 
 @contextmanager
@@ -153,24 +180,3 @@ def observing(
         yield active
     finally:
         uninstall()
-
-
-@contextmanager
-def _contextvar_only() -> Iterator[None]:
-    """Benchmark-only: force every ``sink`` read through the ContextVar.
-
-    Deletes the obs-off fast-path attribute so module ``__getattr__``
-    serves every lookup — the path all reads take while *any* context
-    in the process has a sink installed.  ``bench_obs_overhead`` uses
-    this to price the scoped lookup against the restored-global fast
-    path without having to hold a sink installed elsewhere.  On exit
-    the attribute is restored iff no sink is actually installed.
-    Single-threaded benchmarks only.
-    """
-    globals().pop("sink", None)
-    try:
-        yield
-    finally:
-        with _active_lock:
-            if _active_installs == 0:
-                globals()["sink"] = None

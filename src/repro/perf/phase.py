@@ -35,6 +35,7 @@ import time
 from contextlib import contextmanager
 from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
 
+from repro.obs.export import metadata_event, trace_document
 from repro.obs.profile import callback_site
 from repro.obs.runtime import install, uninstall
 from repro.obs.sink import ObsSink
@@ -268,9 +269,10 @@ def phase_chrome_trace(profiler: PhaseProfiler) -> Dict[str, object]:
 
     Wall time, in integer microseconds — each epoch is a process row,
     each phase a thread row carrying one complete (``ph: "X"``) span.
-    Loadable in ui.perfetto.dev next to the sim-cycle traces exported
-    by :mod:`repro.obs.export` (the ``time_unit`` differs and is
-    advertised in ``otherData``).
+    Built with the :mod:`repro.obs.export` helpers and written by its
+    :func:`~repro.obs.export.write_trace`, so it loads in
+    ui.perfetto.dev next to the sim-cycle traces (the ``time_unit``
+    differs and is advertised in ``otherData``).
     """
     events: List[Dict[str, object]] = []
     phase_tid = {phase: i + 1 for i, phase in enumerate(PHASES)}
@@ -278,32 +280,15 @@ def phase_chrome_trace(profiler: PhaseProfiler) -> Dict[str, object]:
         per = profiler.by_epoch.get(epoch)
         if not per:
             continue
-        events.append(
-            {
-                "ph": "M",
-                "name": "process_name",
-                "pid": pid,
-                "tid": 0,
-                "ts": 0,
-                "args": {"name": f"epoch:{epoch}" if epoch else "run"},
-            }
-        )
+        label = f"epoch:{epoch}" if epoch else "run"
+        events.append(metadata_event("process_name", pid, 0, label))
         cursor = 0
         for phase in PHASES:
             seconds = per.get(phase)
             if seconds is None:
                 continue
             tid = phase_tid[phase]
-            events.append(
-                {
-                    "ph": "M",
-                    "name": "thread_name",
-                    "pid": pid,
-                    "tid": tid,
-                    "ts": 0,
-                    "args": {"name": phase},
-                }
-            )
+            events.append(metadata_event("thread_name", pid, tid, phase))
             dur = max(1, int(round(seconds * 1e6)))
             events.append(
                 {
@@ -318,11 +303,11 @@ def phase_chrome_trace(profiler: PhaseProfiler) -> Dict[str, object]:
                 }
             )
             cursor += dur
-    return {
-        "traceEvents": events,
-        "otherData": {
+    return trace_document(
+        events,
+        {
             "time_unit": "wall-us",
             "events": profiler.events,
             "total_s": round(profiler.total_s, 9),
         },
-    }
+    )

@@ -20,17 +20,12 @@ See docs/SERVICE.md for the API and the dedupe/caching contract.
 """
 
 from repro.serve.protocol import ServeError, Submission, parse_submission
-from repro.serve.telemetry import (
-    ServiceTelemetry,
-    parse_prometheus_text,
-    render_prometheus,
-)
+from repro.serve.telemetry import ServiceTelemetry, render_prometheus
 
 __all__ = [
     "ServeError",
     "ServiceTelemetry",
     "Submission",
-    "parse_prometheus_text",
     "parse_submission",
     "render_prometheus",
 ]

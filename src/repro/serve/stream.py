@@ -230,7 +230,3 @@ class JobLog:
             self._subscribers.remove(queue)
         except ValueError:
             pass
-
-    @property
-    def alert_frames(self) -> List[Dict[str, Any]]:
-        return [f["alert"] for f in self.history if f.get("type") == "alert"]

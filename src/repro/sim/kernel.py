@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional
+from typing import Callable, List, Optional
 
 from repro.obs import runtime as _obs
 
@@ -146,88 +146,3 @@ class Simulator:
     def drain(self) -> None:
         """Discard all pending events without running them."""
         self._queue.clear()
-
-
-class PeriodicProcess:
-    """Helper that re-schedules a body callback at a (mutable) period.
-
-    The coin-exchange engine's dynamic timing changes the period between
-    firings; this wrapper keeps the rescheduling logic in one place.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        period: int,
-        body: Callable[[], None],
-        *,
-        phase: int = 0,
-        priority: int = 0,
-    ) -> None:
-        if period <= 0:
-            raise SimulationError(f"period must be positive, got {period}")
-        self.sim = sim
-        self.period = period
-        self.body = body
-        self.priority = priority
-        self._event: Optional[Event] = None
-        self._active = True
-        self._event = sim.schedule(phase + period, self._fire, priority)
-
-    def _fire(self) -> None:
-        if not self._active:
-            return
-        self.body()
-        if self._active:
-            self._event = self.sim.schedule(self.period, self._fire, self.priority)
-
-    def set_period(self, period: int) -> None:
-        """Change the period (in cycles) used for the *next* rescheduling."""
-        if period <= 0:
-            raise SimulationError(f"period must be positive, got {period}")
-        self.period = period
-
-    def stop(self) -> None:
-        """Permanently stop the process."""
-        self._active = False
-        if self._event is not None:
-            self._event.cancel()
-
-    def kick(self, delay: int = 0) -> None:
-        """Force the next firing to happen ``delay`` cycles from now."""
-        if not self._active:
-            return
-        if self._event is not None:
-            self._event.cancel()
-        self._event = self.sim.schedule(delay, self._fire, self.priority)
-
-
-def run_to_quiescence(sim: Simulator, guard_cycles: int = 10_000_000) -> int:
-    """Run the simulator until its queue drains, bounded by ``guard_cycles``.
-
-    Returns the final simulation time in cycles.  Raises :class:`SimulationError` if
-    the guard is exceeded, which usually means a periodic process was never
-    stopped.
-    """
-    end = sim.run(until=sim.now + guard_cycles)
-    if sim.pending and any(not e.cancelled for e in sim._queue):
-        raise SimulationError(
-            f"simulation did not quiesce within {guard_cycles} cycles"
-        )
-    return end
-
-
-def make_counter() -> Callable[[], int]:
-    """Return a closure producing 0, 1, 2, ... on successive calls."""
-    state = {"n": -1}
-
-    def advance() -> int:
-        state["n"] += 1
-        return state["n"]
-
-    return advance
-
-
-def any_payload(value: Any) -> Any:
-    """Identity helper kept for symmetry in typed call sites."""
-    return value

@@ -16,9 +16,14 @@ tests pin the properties the parallel serve lanes depend on:
   always clears whatever the block left installed;
 * a Hypothesis property drives arbitrary step-by-step interleavings of
   two observing threads through an event handshake and asserts perfect
-  attribution for every schedule.
+  attribution for every schedule;
+* the flag-off fast path of both scoped slots (``runtime.sink`` and
+  ``repro.faults.runtime.injector``) stays a bound ``None`` attribute
+  whenever nothing is installed anywhere in the process, including
+  after many threads churn installs under forced thread switching.
 """
 
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -26,6 +31,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.faults import FaultInjector, FaultPlan, FaultPlanError
+from repro.faults import runtime as faults_runtime
 from repro.obs import NullSink, ObsError, Observation, runtime
 from repro.obs.monitor import Monitor, MonitorSet
 from repro.obs.runtime import current, enabled, install, observing, uninstall
@@ -194,8 +201,6 @@ class TestFaultInjectorScoping:
         # the obs sink: two lanes may each install their own injector.
         # (Process-wide state here used to fail every concurrent
         # fault-injected scenario with "already installed".)
-        from repro.faults import FaultPlan
-        from repro.faults import runtime as faults_runtime
         from repro.faults.runtime import injecting
 
         barrier = threading.Barrier(2)
@@ -254,6 +259,115 @@ class TestObservingNesting:
         assert first is not second
         assert first.registry.value("x") == 1
         assert second.registry.value("x") == 0
+
+
+@pytest.mark.parametrize(
+    "module, attr, make_value, nested_error, force_contextvar",
+    [
+        (runtime, "sink", NullSink, ObsError, runtime._contextvar_only),
+        (
+            faults_runtime,
+            "injector",
+            lambda: FaultInjector(FaultPlan()),
+            FaultPlanError,
+            faults_runtime._SLOT.contextvar_only,
+        ),
+    ],
+    ids=["obs", "faults"],
+)
+def test_fast_path_attribute_tracks_installs(
+    module, attr, make_value, nested_error, force_contextvar
+):
+    """The flag-off read is one module-dict load only while it is bound.
+
+    Losing the ``None`` attribute would pass every behavioral test
+    while each read fell through to the ContextVar (~20x slower), so
+    the attribute itself is pinned across installs in other threads,
+    failed nested installs, and the benchmark-only forced path.
+    """
+    assert attr in vars(module) and vars(module)[attr] is None
+
+    # Nothing installed: leaving the forced path rebinds the attribute.
+    with force_contextvar():
+        assert attr not in vars(module)
+        assert getattr(module, attr) is None
+    assert attr in vars(module)
+
+    installed, release = threading.Event(), threading.Event()
+
+    def holder():
+        module.install(make_value())
+        installed.set()
+        release.wait(5)
+        module.uninstall()
+
+    thread = threading.Thread(target=holder)
+    thread.start()
+    try:
+        assert installed.wait(5)
+        assert attr not in vars(module)  # reads route per context...
+        assert getattr(module, attr) is None  # ...and main's is empty
+        with force_contextvar():
+            pass
+        assert attr not in vars(module)  # an install is still live
+    finally:
+        release.set()
+        thread.join()
+    assert attr in vars(module) and vars(module)[attr] is None
+
+    outer = module.install(make_value())
+    try:
+        with pytest.raises(nested_error, match="already installed"):
+            module.install(make_value())
+        assert attr not in vars(module)
+        assert getattr(module, attr) is outer
+    finally:
+        module.uninstall()
+    # The failed nested install left the install count balanced.
+    assert attr in vars(module) and vars(module)[attr] is None
+
+
+@pytest.mark.parametrize(
+    "module, attr, make_value",
+    [
+        (runtime, "sink", NullSink),
+        (faults_runtime, "injector", lambda: FaultInjector(FaultPlan())),
+    ],
+    ids=["obs", "faults"],
+)
+def test_install_count_survives_thread_churn(module, attr, make_value):
+    """More threads than cores install/uninstall under forced switching.
+
+    A lost update to the process-wide install count would rebind the
+    ``None`` attribute while some thread still has a value installed
+    (that thread would then read ``None``), or leave it unbound after
+    every thread is done.
+    """
+    errors = []
+
+    def churn():
+        try:
+            for _ in range(300):
+                value = module.install(make_value())
+                if getattr(module, attr) is not value:
+                    errors.append("read another context's value")
+                module.uninstall()
+        except Exception as exc:  # surfaced by the assert below
+            errors.append(repr(exc))
+
+    threads = [threading.Thread(target=churn) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert attr in vars(module) and vars(module)[attr] is None
 
 
 class _SteppedObserver(threading.Thread):

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.config import preferred_embodiment
 from repro.core.runner import run_trials
-from repro.obs.export import validate_chrome_trace
+from repro.obs.export import validate_chrome_trace, write_trace
 from repro.obs.sink import Observation
 from repro.perf.phase import (
     PHASES,
@@ -124,9 +124,8 @@ class TestReadouts:
             _workload()
         doc = phase_chrome_trace(prof)
         assert validate_chrome_trace(doc) == []
-        # Round-trips through JSON (what bench profile --trace-out does).
-        path = tmp_path / "phase.json"
-        path.write_text(json.dumps(doc))
+        # Round-trips through the writer bench profile --trace-out uses.
+        path = write_trace(doc, tmp_path / "phase.json")
         assert validate_chrome_trace(json.loads(path.read_text())) == []
         spans = [e for e in doc["traceEvents"] if e["ph"] == "X"]
         assert spans

@@ -27,10 +27,10 @@ from repro.serve.telemetry import (
     PrometheusParseError,
     ServiceTelemetry,
     endpoint_of,
-    parse_prometheus_text,
     render_fleet_dashboard,
     render_prometheus,
 )
+from tests.prometheus import parse_prometheus_text
 from tests.test_serve import alerting_scenario, smoke_doc
 
 #: Substrings that would mean the dashboard fetches something external

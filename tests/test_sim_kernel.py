@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.sim.kernel import (
-    PeriodicProcess,
-    SimulationError,
-    Simulator,
-    run_to_quiescence,
-)
+from repro.sim.kernel import SimulationError, Simulator
 
 
 class TestScheduling:
@@ -138,64 +133,3 @@ class TestBoundedRun:
         with pytest.raises(SimulationError):
             sim.run()
 
-
-class TestPeriodicProcess:
-    def test_fires_at_period(self, sim):
-        fired = []
-        proc = PeriodicProcess(sim, 10, lambda: fired.append(sim.now))
-        sim.run(until=35)
-        proc.stop()
-        assert fired == [10, 20, 30]
-
-    def test_phase_offsets_first_firing(self, sim):
-        fired = []
-        proc = PeriodicProcess(sim, 10, lambda: fired.append(sim.now), phase=5)
-        sim.run(until=26)
-        proc.stop()
-        assert fired == [15, 25]
-
-    def test_set_period_changes_future_firings(self, sim):
-        fired = []
-        proc = PeriodicProcess(sim, 10, lambda: fired.append(sim.now))
-
-        def widen():
-            proc.set_period(20)
-
-        sim.schedule(11, widen)
-        sim.run(until=55)
-        proc.stop()
-        assert fired == [10, 20, 40]
-
-    def test_stop_prevents_future_firings(self, sim):
-        fired = []
-        proc = PeriodicProcess(sim, 10, lambda: fired.append(sim.now))
-        sim.schedule(15, proc.stop)
-        sim.run(until=100)
-        assert fired == [10]
-
-    def test_kick_forces_early_firing(self, sim):
-        fired = []
-        proc = PeriodicProcess(sim, 100, lambda: fired.append(sim.now))
-        sim.schedule(10, lambda: proc.kick(5))
-        sim.run(until=50)
-        proc.stop()
-        assert fired == [15]
-
-    def test_invalid_period_rejected(self, sim):
-        with pytest.raises(SimulationError):
-            PeriodicProcess(sim, 0, lambda: None)
-
-
-class TestQuiescence:
-    def test_quiesces_when_queue_drains(self, sim):
-        sim.schedule(10, lambda: None)
-        end = run_to_quiescence(sim)
-        assert end >= 10
-
-    def test_raises_on_runaway_process(self, sim):
-        def loop():
-            sim.schedule(10, loop)
-
-        sim.schedule(1, loop)
-        with pytest.raises(SimulationError):
-            run_to_quiescence(sim, guard_cycles=1000)
