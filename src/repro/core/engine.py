@@ -88,6 +88,9 @@ class _TileFsm:
     jitter_state: int = 1
     timeout_event: Optional[Event] = None
     next_event: Optional[Event] = None
+    #: 4-way participant: the watchdog that releases a lock whose
+    #: center never answers; cancelled when the lock is released.
+    lock_event: Optional[Event] = None
     #: Fault state: a dead tile lost its registers (coins confiscated
     #: and reconciled); a hung tile keeps them but stops responding.
     dead: bool = False
@@ -493,8 +496,9 @@ class CoinExchangeEngine:
                     if fsm.locked and fsm.lock_uid == uid:
                         fsm.locked = False
                         fsm.lock_uid = -1
+                        fsm.lock_event = None
 
-                self.sim.schedule(timeout, unlock)
+                fsm.lock_event = self.sim.schedule(timeout, unlock)
         self.noc.send(
             Packet(
                 src=packet.dst,
@@ -661,8 +665,7 @@ class CoinExchangeEngine:
             # (possibly a zero-delta abort) releases us.
             self._in_flight -= update.delta
             self._apply_delta(packet.dst, update.delta)
-            fsm.locked = False
-            fsm.lock_uid = -1
+            self._release_lock(fsm)
             if update.delta != 0:
                 self._wake(fsm)
             return
@@ -825,12 +828,20 @@ class CoinExchangeEngine:
             fsm.timeout_event.cancel()
             fsm.timeout_event = None
         fsm.busy = False
-        fsm.locked = False
-        fsm.lock_uid = -1
+        self._release_lock(fsm)
         fsm.pending_uid = -1
         fsm.pending_partner = -1
         fsm.pending_statuses = {}
         fsm.pending_order = []
+
+    @staticmethod
+    def _release_lock(fsm: _TileFsm) -> None:
+        """Unlock a 4-way participant and cancel its lock watchdog."""
+        fsm.locked = False
+        fsm.lock_uid = -1
+        if fsm.lock_event is not None:
+            fsm.lock_event.cancel()
+            fsm.lock_event = None
 
     def kill_tile(self, tid: int) -> None:
         """Fail tile ``tid``: registers lost, handler detached.

@@ -93,11 +93,6 @@ class TileActuator:
             return self.curve.p_idle_mw
         return self.curve.power_at_f(self.f_current_hz)
 
-    @property
-    def in_transition(self) -> bool:
-        """True while the clock is still slewing to the latest target."""
-        return self._pending is not None
-
 
 class ConventionalDualLoop:
     """Separate voltage and frequency loops with a droop guard-band.

@@ -9,7 +9,7 @@ XY-routed distances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, List, Tuple
 
 
@@ -32,17 +32,30 @@ class MeshTopology:
 
     width: int
     height: int
+    #: Tile count and per-tile ``(x, y)``, computed once: the NoC asks
+    #: for two hop distances per packet.
+    _n: int = field(init=False, repr=False, compare=False)
+    _xy: Tuple[Tuple[int, int], ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.width < 1 or self.height < 1:
             raise TopologyError(
                 f"grid must be at least 1x1, got {self.width}x{self.height}"
             )
+        n = self.width * self.height
+        object.__setattr__(self, "_n", n)
+        object.__setattr__(
+            self,
+            "_xy",
+            tuple((t % self.width, t // self.width) for t in range(n)),
+        )
 
     @property
     def n_tiles(self) -> int:
         """Total tile count N."""
-        return self.width * self.height
+        return self._n
 
     @property
     def dimension(self) -> float:
@@ -52,7 +65,7 @@ class MeshTopology:
     def coords(self, tid: int) -> Tuple[int, int]:
         """(x, y) coordinates of tile ``tid``."""
         self._check(tid)
-        return tid % self.width, tid // self.width
+        return self._xy[tid]
 
     def tile_id(self, x: int, y: int) -> int:
         """Flat id of the tile at ``(x, y)``."""
@@ -63,8 +76,8 @@ class MeshTopology:
         return y * self.width + x
 
     def _check(self, tid: int) -> None:
-        if not (0 <= tid < self.n_tiles):
-            raise TopologyError(f"tile id {tid} outside grid of {self.n_tiles}")
+        if not (0 <= tid < self._n):
+            raise TopologyError(f"tile id {tid} outside grid of {self._n}")
 
     def mesh_neighbors(self, tid: int) -> List[int]:
         """In-grid N/S/E/W neighbors (2-4 of them; no wrap-around)."""
@@ -96,8 +109,11 @@ class MeshTopology:
 
     def hop_distance(self, src: int, dst: int) -> int:
         """XY-routed hop count on the physical (non-wrapping) mesh."""
-        sx, sy = self.coords(src)
-        dx, dy = self.coords(dst)
+        if not (0 <= src < self._n and 0 <= dst < self._n):
+            self._check(src)
+            self._check(dst)
+        sx, sy = self._xy[src]
+        dx, dy = self._xy[dst]
         return abs(sx - dx) + abs(sy - dy)
 
     def xy_route(self, src: int, dst: int) -> List[int]:

@@ -8,9 +8,14 @@ params, so the identity half of ``BENCH_core.json`` (metrics and
 counters) is byte-reproducible; only the wall times move.
 
 Sizes here are deliberately "quick": the whole suite must run twice in
-the CI bench job, so every body targets well under a second.  The
-standalone ``benchmarks/bench_*.py`` pytest benchmarks remain the
-heavyweight versions.
+the CI bench job, so every body but two targets well under a second.
+The exceptions are the single large-mesh trials
+``engine.convergence.d16`` and ``engine.convergence.d32`` (about 0.5 s
+and 4 s on a 2-vCPU host), which measure how the engine scales with N
+instead of extrapolating from d=6; they declare no counters, so their
+timed reps run without an obs sink.  The standalone
+``benchmarks/bench_*.py`` pytest benchmarks remain the heavyweight
+versions.
 
 The ``serve`` suite tracks the simulation service (repro.serve, see
 docs/SERVICE.md): cold submission latency (server start + submit +
@@ -222,6 +227,27 @@ def _obs_overhead_on(d, trials, base_seed, threshold):
             threshold=threshold,
         )
     return _trial_metrics(results)
+
+
+# Registered last: peak RSS is per process, so an earlier d=32 trial
+# would raise every later entry's ``peak_rss_kb``.
+register(
+    "engine.convergence.d16",
+    params={"d": 16, "trials": 1, "base_seed": 3, "threshold": 1.5},
+    suites=("core",),
+    profile=True,
+    description="One seeded preferred-embodiment trial on a 16x16 mesh "
+    "(N=256).",
+)(_engine_convergence)
+register(
+    "engine.convergence.d32",
+    params={"d": 32, "trials": 1, "base_seed": 3, "threshold": 1.5},
+    suites=("core",),
+    description="One seeded preferred-embodiment trial on a 32x32 mesh "
+    "(N=1024): the hot loop at the scale of Fig. 21.  Neither counted "
+    "nor profiled: under an obs sink or the phase profiler it takes "
+    "three to five times as long.",
+)(_engine_convergence)
 
 
 # ------------------------------------------------------------- serve suite

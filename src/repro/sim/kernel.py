@@ -1,43 +1,69 @@
 """Event-driven simulation kernel.
 
-A deliberately small core: a binary-heap event queue keyed by
-``(time, priority, sequence)``.  The sequence number makes event ordering
-fully deterministic for events scheduled at the same cycle, which in turn
-makes every Monte-Carlo experiment in the benchmark harness reproducible
-from its seed alone.
+A deliberately small core: a binary-heap event queue.  Each heap entry
+is a tuple ``(time, priority, seq, event)``.  The sequence number is
+unique per simulator, so entries compare in C on their first three
+fields and never reach the :class:`Event`, and events scheduled at the
+same cycle fire in a fully deterministic order.  That in turn makes
+every Monte-Carlo experiment in the benchmark harness reproducible from
+its seed alone.
+
+Cancellation is lazy: :meth:`Event.cancel` marks the event and the
+kernel skips it when it reaches the top of the heap.  Watchdogs that
+are armed for thousands of cycles and cancelled a few cycles later
+would otherwise fill the heap with dead entries, so the simulator
+counts the cancelled entries still in its heap.  Once they are more
+than half of it, and the heap holds more than :data:`COMPACT_FLOOR`
+entries, it drops them all and re-heapifies in place (asyncio's rule
+for cancelled timer handles).  The order is total, so dropping entries
+never changes which event fires next.  :attr:`Simulator.pending` is the
+heap length: the live events plus the cancelled ones not yet dropped.
+Only a cancel adds a dead entry, and right after each one the heap
+holds at most twice its live events plus the floor.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from repro.obs import runtime as _obs
+
+#: Heap size at or below which cancelled entries are never compacted.
+COMPACT_FLOOR = 64
 
 
 class SimulationError(RuntimeError):
     """Raised when the simulator is driven outside its contract."""
 
 
-@dataclass(order=True)
 class Event:
-    """A scheduled callback.
+    """A scheduled callback, as returned by :meth:`Simulator.schedule`.
 
-    Events compare by ``(time, priority, seq)`` so the heap pops them in
-    deterministic order.  ``cancelled`` events stay in the heap but are
-    skipped when popped (lazy deletion).
+    ``time`` is the cycle it fires at.  A cancelled event stays in the
+    heap until it is popped or compacted away, and is skipped either
+    way.  Cancelling an event that already fired, or cancelling it
+    twice, does nothing more.
     """
 
-    time: int
-    priority: int
-    seq: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
+    __slots__ = ("time", "callback", "cancelled", "_sim")
+
+    def __init__(
+        self, time: int, callback: Callable[[], None], sim: Simulator
+    ) -> None:
+        self.time = time
+        self.callback = callback
+        self.cancelled = False
+        #: The simulator whose heap holds this event; None once it left.
+        self._sim: Optional[Simulator] = sim
 
     def cancel(self) -> None:
-        """Mark this event so the kernel skips it when popped."""
+        """Mark this event so the kernel skips it."""
+        if self.cancelled:
+            return
         self.cancelled = True
+        if self._sim is not None:
+            self._sim._count_cancel()
 
 
 class Simulator:
@@ -55,21 +81,18 @@ class Simulator:
 
     def __init__(self, max_events: Optional[int] = None) -> None:
         self.now: int = 0
-        self._queue: List[Event] = []
+        self._queue: List[Tuple[int, int, int, Event]] = []
         self._seq: int = 0
+        #: Cancelled events still in ``_queue``.
+        self._cancelled = 0
         self._running = False
         self._stopped = False
         self._events_processed = 0
         self._max_events = max_events
 
     @property
-    def events_processed(self) -> int:
-        """Number of events executed so far (cancelled ones excluded)."""
-        return self._events_processed
-
-    @property
     def pending(self) -> int:
-        """Number of events still in the queue, including cancelled ones."""
+        """Heap entries: live events plus cancelled ones not yet dropped."""
         return len(self._queue)
 
     def schedule(
@@ -82,9 +105,10 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        event = Event(self.now + delay, priority, self._seq, callback)
+        time = self.now + delay
+        event = Event(time, callback, self)
+        heapq.heappush(self._queue, (time, priority, self._seq, event))
         self._seq += 1
-        heapq.heappush(self._queue, event)
         return event
 
     def schedule_at(
@@ -92,6 +116,16 @@ class Simulator:
     ) -> Event:
         """Schedule ``callback`` at an absolute cycle count."""
         return self.schedule(time - self.now, callback, priority)
+
+    def _count_cancel(self) -> None:
+        """Count one cancelled event in the heap; compact past half."""
+        self._cancelled += 1
+        queue = self._queue
+        if 2 * self._cancelled > len(queue) > COMPACT_FLOOR:
+            # In place: run() holds an alias to the list.
+            queue[:] = [entry for entry in queue if not entry[3].cancelled]
+            heapq.heapify(queue)
+            self._cancelled = 0
 
     def stop(self) -> None:
         """Stop the current :meth:`run` after the executing event returns."""
@@ -109,16 +143,20 @@ class Simulator:
             raise SimulationError("run() called re-entrantly from an event")
         self._running = True
         self._stopped = False
+        queue = self._queue
+        heappop = heapq.heappop
         try:
-            while self._queue and not self._stopped:
-                event = self._queue[0]
+            while queue and not self._stopped:
+                time, _, _, event = queue[0]
                 if event.cancelled:
-                    heapq.heappop(self._queue)
+                    heappop(queue)
+                    self._cancelled -= 1
                     continue
-                if until is not None and event.time > until:
+                if until is not None and time > until:
                     break
-                heapq.heappop(self._queue)
-                self.now = event.time
+                heappop(queue)
+                event._sim = None
+                self.now = time
                 event.callback()
                 self._events_processed += 1
                 # Profiling hook: one branch when disabled; the sink only
@@ -145,4 +183,7 @@ class Simulator:
 
     def drain(self) -> None:
         """Discard all pending events without running them."""
+        for entry in self._queue:
+            entry[3]._sim = None
         self._queue.clear()
+        self._cancelled = 0

@@ -95,7 +95,3 @@ class ThermalGovernor:
     def cap_events(self) -> int:
         """How many times a cap was engaged."""
         return sum(1 for _, _, action in self.events if action == "cap")
-
-    def temperature_of(self, tid: int) -> float:
-        """Current model temperature of one tile."""
-        return float(self.grid.temperatures[tid])

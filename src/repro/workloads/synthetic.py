@@ -27,12 +27,6 @@ class PhaseTrace:
     horizon_cycles: int
     n_tiles: int
 
-    def changes_per_cycle(self) -> float:
-        """Mean activity-change rate over the horizon."""
-        if self.horizon_cycles <= 0:
-            return 0.0
-        return len(self.events) / self.horizon_cycles
-
     def mean_interval_cycles(self) -> float:
         """Mean interval between consecutive SoC-level activity changes.
 

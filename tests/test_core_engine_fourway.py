@@ -129,3 +129,31 @@ class TestFourWayConvergence:
         )
         engine.start()
         assert engine.run_until_converged(300_000) is not None
+
+
+class TestLockWatchdog:
+    def test_released_locks_leave_no_pending_watchdog(self):
+        """After a fault-free d=8 trial, no more lock watchdogs are
+        still waiting than there are held locks: a lock released by the
+        center's update cancels its watchdog."""
+        sim, noc, engine = build(d=8, initial=[8 * 64] + [0] * 63)
+        watchdogs = []
+        schedule = sim.schedule
+
+        def recording_schedule(delay, callback, priority=0):
+            event = schedule(delay, callback, priority)
+            if callback.__qualname__.endswith("unlock"):
+                watchdogs.append(event)
+            return event
+
+        sim.schedule = recording_schedule
+        engine.start()
+        assert engine.run_until_converged(400_000) is not None
+        assert len(watchdogs) > 100
+        waiting = [
+            event
+            for event in watchdogs
+            if not event.cancelled and event.time > sim.now
+        ]
+        held = sum(1 for fsm in engine.fsm.values() if fsm.locked)
+        assert len(waiting) <= held
