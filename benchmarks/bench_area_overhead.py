@@ -10,6 +10,7 @@ from repro.core.config import preferred_embodiment
 from repro.core.engine import CoinExchangeEngine
 from repro.noc.router import CycleNoc
 from repro.noc.topology import MeshTopology
+from repro.perf import register
 from repro.power.area import TileAreaBudget, comparison_rows
 from repro.sim.kernel import Simulator
 from repro.sim.rng import rng_for
@@ -38,30 +39,23 @@ def steady_state_traffic_share(d=6, settle=100_000, window=200_000):
     return flits / capacity
 
 
-def test_area_and_traffic_overhead(benchmark, report):
-    def scenario():
-        return {
-            "area_rows": comparison_rows(1.0),
-            "traffic_share": steady_state_traffic_share(),
-        }
+@register("claim.area_overhead", suites=("figures",))
+def area_overhead():
+    """Sec. IV-A: under 1% tile area, and negligible steady-state coin traffic."""
+    area = dict(comparison_rows(1.0))
+    traffic_share = steady_state_traffic_share()
 
-    results = benchmark.pedantic(scenario, rounds=1, iterations=1)
-    rows = [
-        f"{name:28s} {frac * 100:6.2f}% of a 1 mm^2 tile"
-        for name, frac in results["area_rows"]
-    ]
-    rows.append(
-        f"steady-state coin traffic: "
-        f"{results['traffic_share'] * 100:.4f}% of NoC link capacity"
-    )
-    report("Overhead: area (Sec. IV-A) and steady-state traffic", rows)
-
-    area = dict(results["area_rows"])
     ours = area["BlitzCoin (this work)"]
     # The paper's headline: under 1% per tile.
     assert ours < 0.01
     # And 30-70x below switched-capacitor regulators.
     budget = TileAreaBudget(1.0)
-    assert budget.advantage_over("switched-cap UVFR [51]") > 30
+    advantage = budget.advantage_over("switched-cap UVFR [51]")
+    assert advantage > 30
     # Steady-state coin traffic is a negligible share of the NoC.
-    assert results["traffic_share"] < 0.005
+    assert traffic_share < 0.005
+    return {
+        "area_fraction": ours,
+        "switched_cap_advantage": advantage,
+        "traffic_share": traffic_share,
+    }

@@ -44,67 +44,35 @@ def _results_fingerprint(run):
     return canonical_json([json.loads(canonical_json(r)) for r in run.results])
 
 
-@register(
-    "campaign.parallel",
-    params={"workers": 4},
-    suites=("full",),
-    description="The scaling spec on a cold store with a 4-wide worker "
-    "pool (results live in worker processes, so no counters).",
-)
-def run_parallel_campaign(workers):
-    with tempfile.TemporaryDirectory(prefix="bench-campaign-") as scratch:
-        run = run_campaign(
-            _spec(), store=CampaignStore(Path(scratch)), workers=workers
-        )
-        return {"units_executed": run.executed, "units_total": run.total}
-
-
-def test_campaign_scaling(benchmark, report, tmp_path):
+@register("campaign.scaling", suites=("full",))
+def campaign_scaling():
+    """Serial vs 1/2/4/8-worker cold runs of one campaign, then a warm rerun."""
     spec = _spec()
-
-    # Serial reference, timed through the benchmark harness.
-    serial_store = CampaignStore(tmp_path / "serial")
-    t0 = time.perf_counter()
-    serial = benchmark.pedantic(
-        run_campaign,
-        args=(spec,),
-        kwargs={"store": serial_store, "workers": 1},
-        rounds=1,
-        iterations=1,
-    )
-    serial_time = time.perf_counter() - t0
-    assert serial.executed == serial.total
-
-    rows = [f"units={serial.total}  cores={os.cpu_count()}"]
-    rows.append(f"serial          {serial_time:7.2f}s  speedup= 1.00x")
-
-    times = {}
-    for workers in WORKER_COUNTS:
-        store = CampaignStore(tmp_path / f"w{workers}")
+    with tempfile.TemporaryDirectory(prefix="bench-campaign-") as scratch:
+        root = Path(scratch)
+        serial_store = CampaignStore(root / "serial")
         t0 = time.perf_counter()
-        run = run_campaign(spec, store=store, workers=workers)
-        times[workers] = time.perf_counter() - t0
-        # Bit-identity: the worker fan-out must not change any result.
-        assert _results_fingerprint(run) == _results_fingerprint(serial)
-        assert run.executed == run.total
-        rows.append(
-            f"workers={workers}  cold {times[workers]:7.2f}s  "
-            f"speedup={serial_time / times[workers]:5.2f}x"
-        )
+        serial = run_campaign(spec, store=serial_store, workers=1)
+        serial_time = time.perf_counter() - t0
+        assert serial.executed == serial.total
 
-    # Warm cache: the rerun must execute zero units, at any worker count.
-    t0 = time.perf_counter()
-    warm = run_campaign(spec, store=serial_store, workers=4)
-    warm_time = time.perf_counter() - t0
-    assert warm.executed == 0
-    assert warm.cached == warm.total
-    assert _results_fingerprint(warm) == _results_fingerprint(serial)
-    rows.append(
-        f"warm cache      {warm_time:7.2f}s  "
-        f"speedup={serial_time / warm_time:5.2f}x  (0 units executed)"
-    )
+        times = {}
+        for workers in WORKER_COUNTS:
+            store = CampaignStore(root / f"w{workers}")
+            t0 = time.perf_counter()
+            run = run_campaign(spec, store=store, workers=workers)
+            times[workers] = time.perf_counter() - t0
+            # Bit-identity: the worker fan-out must not change any result.
+            assert _results_fingerprint(run) == _results_fingerprint(serial)
+            assert run.executed == run.total
 
-    report("Campaign scaling: parallel + cache", rows)
+        # Warm cache: the rerun must execute zero units, at any worker count.
+        t0 = time.perf_counter()
+        warm = run_campaign(spec, store=serial_store, workers=4)
+        warm_time = time.perf_counter() - t0
+        assert warm.executed == 0
+        assert warm.cached == warm.total
+        assert _results_fingerprint(warm) == _results_fingerprint(serial)
 
     # The speedup claim needs real cores behind the workers; on the
     # 4-core CI runner, 4 workers must at least halve the wall clock.
@@ -114,20 +82,9 @@ def test_campaign_scaling(benchmark, report, tmp_path):
 
     # The cache claim holds everywhere: a warm rerun is pure reads.
     assert warm_time < serial_time
-
-
-def main() -> int:
-    from repro.perf import REGISTRY, run_benchmark
-
-    result = run_benchmark(
-        REGISTRY.get("campaign.parallel"), reps=1, warmup=0
-    )
-    print(
-        f"campaign.parallel  {min(result.per_rep_s):.2f} s  "
-        f"metrics={result.metrics}"
-    )
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+    return {
+        "units_total": serial.total,
+        "units_executed": serial.executed,
+        "warm_units_cached": warm.cached,
+        "warm_units_executed": warm.executed,
+    }

@@ -7,6 +7,7 @@ granularity (2-3 bits) loses throughput and even overshoots the cap
 through quantization, while widths beyond 6 bits buy nothing.
 """
 
+from repro.perf import register
 from repro.soc.executor import WorkloadExecutor
 from repro.soc.pm import BlitzCoinPM
 from repro.soc.presets import soc_3x3
@@ -27,15 +28,10 @@ def run_sweep():
     return out
 
 
-def test_coin_precision(benchmark, report):
-    results = benchmark.pedantic(run_sweep, rounds=1, iterations=1)
-    rows = [
-        f"{bits}-bit counters ({2 ** bits:3d} levels): "
-        f"makespan={r.makespan_us:8.1f} us  "
-        f"avg={r.average_power_mw():6.1f} mW  peak={r.peak_power_mw():6.1f} mW"
-        for bits, r in results.items()
-    ]
-    report("Coin-precision ablation (3x3 WL-Par @ 120 mW)", rows)
+@register("claim.coin_precision", suites=("figures",))
+def coin_precision():
+    """Sec. IV-A: 64 power levels (6-bit counters) are the precision knee."""
+    results = run_sweep()
 
     six = results[6]
     # Prior-work granularity (4 levels) costs heavily in throughput.
@@ -49,3 +45,7 @@ def test_coin_precision(benchmark, report):
     # quantization overshoots it badly.
     assert six.peak_power_mw() <= 1.10 * 120.0
     assert results[2].peak_power_mw() > 1.10 * 120.0
+    return {
+        **{f"makespan_us.{b}bit": r.makespan_us for b, r in results.items()},
+        **{f"peak_power_mw.{b}bit": r.peak_power_mw() for b, r in results.items()},
+    }

@@ -7,6 +7,7 @@ measures completed accelerator-cycles per joule for each scheme on the
 same workload and budget.
 """
 
+from repro.perf import register
 from repro.report.post_process import throughput_per_watt
 from repro.soc.executor import WorkloadExecutor
 from repro.soc.pm import PMKind, build_pm
@@ -33,15 +34,10 @@ def run_all():
     return out
 
 
-def test_energy_efficiency(benchmark, report):
-    results = benchmark.pedantic(run_all, rounds=1, iterations=1)
-    rows = [
-        f"{name:5s} energy={r['energy_uj']:8.1f} uJ  "
-        f"efficiency={r['cycles_per_joule'] / 1e9:6.2f} Gcycles/J  "
-        f"makespan={r['result'].makespan_us:8.1f} us"
-        for name, r in results.items()
-    ]
-    report("Energy efficiency (3x3 WL-Par @ 120 mW)", rows)
+@register("claim.energy_efficiency", suites=("figures",))
+def energy_efficiency():
+    """Sec. VI-A: BC completes more accelerator cycles per joule than C-RR."""
+    results = run_all()
 
     bc = results["BC"]["cycles_per_joule"]
     crr = results["C-RR"]["cycles_per_joule"]
@@ -56,3 +52,8 @@ def test_energy_efficiency(benchmark, report):
     # percent of each other.
     bcc = results["BC-C"]["cycles_per_joule"]
     assert abs(bc - bcc) / bcc < 0.10
+    return {
+        f"{name}.{key}": r[key]
+        for name, r in results.items()
+        for key in ("cycles_per_joule", "energy_uj")
+    }

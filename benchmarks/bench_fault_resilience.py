@@ -9,18 +9,19 @@ tile itself dies.
 """
 
 from repro.experiments import fault_sweep
+from repro.perf import register
 
 RATES = (0.0, 0.05, 0.2)
 
 
-def test_fault_resilience_curves(benchmark, report):
-    result = benchmark.pedantic(
-        fault_sweep.run,
-        kwargs={"rates": RATES, "d": 6, "trials": 2, "base_seed": 7},
-        rounds=1,
-        iterations=1,
-    )
-    report("Fault sweep: degradation curves", fault_sweep.format_rows(result))
+@register(
+    "claim.fault_resilience",
+    params={"rates": RATES, "d": 6, "trials": 2, "base_seed": 7},
+    suites=("figures",),
+)
+def fault_resilience(rates, d, trials, base_seed):
+    """Sec. II-B: BC degrades gracefully under loss and survives a dead tile."""
+    result = fault_sweep.run(rates=rates, d=d, trials=trials, base_seed=base_seed)
 
     bc = result.curve("blitzcoin")
     bc_killed = result.curve("blitzcoin_killed")
@@ -50,3 +51,22 @@ def test_fault_resilience_curves(benchmark, report):
     assert cent[-1].mean_timeouts > 0
     assert all(p.converged_fraction == 0.0 for p in cent_killed)
     assert all(p.mean_cycles == float("inf") for p in cent_killed)
+    return {
+        "blitzcoin.cycles_clean": bc[0].mean_cycles,
+        "blitzcoin.cycles_lossiest": bc[-1].mean_cycles,
+        "blitzcoin.converged_min": min(p.converged_fraction for p in bc),
+        "blitzcoin_killed.converged_min": min(
+            p.converged_fraction for p in bc_killed
+        ),
+        "blitzcoin_killed.reconciled_min": min(
+            abs(p.mean_reconciled) for p in bc_killed
+        ),
+        "centralized.converged_min": min(p.converged_fraction for p in cent),
+        "centralized.cycles_clean": cent[0].mean_cycles,
+        "centralized.cycles_lossiest": cent[-1].mean_cycles,
+        "centralized.discarded_lossiest": cent[-1].mean_discarded,
+        "centralized.timeouts_lossiest": cent[-1].mean_timeouts,
+        "centralized_killed.converged_max": max(
+            p.converged_fraction for p in cent_killed
+        ),
+    }

@@ -1,11 +1,13 @@
 """Fig. 1: response-time scalability of power-management strategies."""
 
 from repro.experiments import fig01_scalability
+from repro.perf import register
 
 
-def test_fig01_scalability(benchmark, report):
-    result = benchmark(fig01_scalability.run)
-    report("Fig. 1: N_max per strategy and T_w", fig01_scalability.format_rows(result))
+@register("fig01.scalability", suites=("figures",))
+def scalability():
+    """Fig. 1: N_max per strategy and T_w; decentralized >> HW >> SW."""
+    result = fig01_scalability.run()
 
     # Shape: decentralized >> HW-centralized >> SW-centralized, at every T_w.
     for t_w in fig01_scalability.T_W_VALUES_US:
@@ -25,3 +27,7 @@ def test_fig01_scalability(benchmark, report):
         assert series == sorted(series)
     for series in result.interval_us.values():
         assert series == sorted(series, reverse=True)
+    return {
+        f"n_max.{strategy}.{t_w:g}us": n
+        for (strategy, t_w), n in result.n_max.items()
+    }

@@ -1,10 +1,4 @@
-"""Fig. 3: packets and cycles to convergence, 1-way vs 4-way.
-
-Runs under pytest-benchmark (``pytest benchmarks/``) and standalone
-(``python benchmarks/bench_fig03_convergence.py``); the standalone
-entrypoint goes through the :mod:`repro.perf` harness, so the same
-declaration feeds the ``BENCH_*.json`` trajectory artifacts.
-"""
+"""Fig. 3: packets and cycles to convergence, 1-way vs 4-way."""
 
 from repro.experiments import fig03_convergence
 from repro.perf import register
@@ -16,34 +10,12 @@ TRIALS = 5
 @register(
     "fig03.full",
     params={"dims": DIMS, "trials": TRIALS},
-    suites=("full",),
-    counters=("engine.exchanges_initiated", "campaign.units_executed"),
+    suites=("figures",),
     profile=True,
     description="The full Fig. 3 sweep (1-way vs 4-way, d up to 16).",
 )
 def run_fig03(dims, trials):
     result = fig03_convergence.run(tuple(dims), trials)
-    metrics = {}
-    for technique in ("1-way", "4-way"):
-        pts = result.curve(technique)
-        key = technique.replace("-", "")
-        metrics[f"cycles_{key}"] = sum(p.mean_cycles for p in pts)
-        metrics[f"packets_{key}"] = sum(p.mean_packets for p in pts)
-    return metrics
-
-
-def test_fig03_convergence(benchmark, report):
-    result = benchmark.pedantic(
-        fig03_convergence.run,
-        kwargs={"dims": DIMS, "trials": TRIALS},
-        rounds=1,
-        iterations=1,
-    )
-    report(
-        "Fig. 3: 1-way vs 4-way convergence",
-        fig03_convergence.format_rows(result),
-    )
-
     one = result.curve("1-way")
     four = result.curve("4-way")
 
@@ -63,17 +35,10 @@ def test_fig03_convergence(benchmark, report):
     for p1, p4 in zip(one, four):
         assert p4.mean_cycles < 2.5 * p1.mean_cycles
 
-
-def main() -> int:
-    from repro.perf import REGISTRY, run_benchmark
-
-    result = run_benchmark(REGISTRY.get("fig03.full"), reps=1, warmup=0)
-    print(
-        f"fig03.full  {min(result.per_rep_s) * 1000:.1f} ms  "
-        f"metrics={result.metrics}"
-    )
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+    metrics = {}
+    for key, pts in (("1way", one), ("4way", four)):
+        metrics[f"cycles_{key}"] = sum(p.mean_cycles for p in pts)
+        metrics[f"packets_{key}"] = sum(p.mean_packets for p in pts)
+        for p in pts:
+            metrics[f"cycles_{key}.d{p.d}"] = p.mean_cycles
+    return metrics

@@ -1,18 +1,24 @@
 """Fig. 19: the silicon-measurement experiments (simulated)."""
 
 from repro.experiments import fig19_silicon
+from repro.perf import register
 from repro.sim import cycles_to_us
 
 
-def test_fig19_silicon(benchmark, report):
-    result = benchmark.pedantic(fig19_silicon.run, rounds=1, iterations=1)
-    report("Fig. 19: PM-cluster (silicon) experiments", fig19_silicon.format_rows(result))
+@register("fig19.silicon", suites=("figures",))
+def silicon():
+    """Fig. 19: PM-cluster budget use, redistribution gains and UVFR settling."""
+    result = fig19_silicon.run()
 
     # Budget enforcement with high utilization (paper: 97% of budget,
     # cap never exceeded).
-    for run in result.runs.values():
+    metrics = {}
+    for n, run in result.runs.items():
         assert run.peak_power_mw <= 1.05 * fig19_silicon.PM_CLUSTER_BUDGET_MW
         assert run.budget_utilization > 0.70
+        metrics[f"peak_power_mw.n{n}"] = run.peak_power_mw
+        metrics[f"budget_utilization.n{n}"] = run.budget_utilization
+        metrics[f"throughput_gain_percent.n{n}"] = run.throughput_gain_percent
 
     # Dynamic redistribution beats the static split for every workload
     # size, with larger gains for more accelerators (paper: 27% at 7
@@ -33,3 +39,7 @@ def test_fig19_silicon(benchmark, report):
 
     # BlitzCoin overhead vs the FFT No-PM tile: < 2%.
     assert result.pm_overhead_percent < 2.0
+    metrics["worst_residual_coins"] = result.coin_snapshot.worst_residual_coins
+    metrics["uvfr_settle_cycles"] = result.uvfr_transition.cycles
+    metrics["pm_overhead_percent"] = result.pm_overhead_percent
+    return metrics

@@ -1,11 +1,13 @@
 """Fig. 20: response time after the NVDLA task completes."""
 
 from repro.experiments import fig20_response
+from repro.perf import register
 
 
-def test_fig20_response(benchmark, report):
-    result = benchmark.pedantic(fig20_response.run, rounds=1, iterations=1)
-    report("Fig. 20: NVDLA-end response", fig20_response.format_rows(result))
+@register("fig20.response", suites=("figures",))
+def response():
+    """Fig. 20: BC responds to the NVDLA end in microseconds, C-RR slowest."""
+    result = fig20_response.run()
 
     bc = result.measurements["BC"].response_us
     bcc = result.measurements["BC-C"].response_us
@@ -21,3 +23,10 @@ def test_fig20_response(benchmark, report):
     # BC-C and C-RR are the same O(N) loop with different policies;
     # their responses are of the same order (Table I's 3.7-8.0 us band).
     assert 0.5 < crr / bcc < 3.0
+    return {
+        "response_us.BC": bc,
+        "response_us.BC-C": bcc,
+        "response_us.C-RR": crr,
+        "ratio.BC-C": result.ratio("BC-C"),
+        "ratio.C-RR": result.ratio("C-RR"),
+    }

@@ -6,6 +6,7 @@ the N_max and PM-overhead orderings.
 """
 
 from repro.experiments import fig17_3x3_eval, fig20_response, fig21_scaling
+from repro.perf import register
 
 
 def _measured_responses():
@@ -23,15 +24,10 @@ def _measured_responses():
     return out
 
 
-def test_fig21_scaling(benchmark, report):
-    measured = _measured_responses()
-    result = benchmark.pedantic(
-        fig21_scaling.run,
-        kwargs={"measured_responses": measured},
-        rounds=1,
-        iterations=1,
-    )
-    report("Fig. 21: large-SoC extrapolation", fig21_scaling.format_rows(result))
+@register("fig21.scaling", suites=("figures",))
+def scaling():
+    """Fig. 21: fitted to measured responses, BC supports the most accelerators."""
+    result = fig21_scaling.run(measured_responses=_measured_responses())
 
     # N_max ordering at every T_w: BC > TS > BC-C > C-RR > (roughly) PT.
     for i, t_w in enumerate(result.t_w_values_us):
@@ -54,3 +50,11 @@ def test_fig21_scaling(benchmark, report):
         < result.pm_fraction["C-RR"][idx]
     )
     assert result.pm_fraction["BC"][idx] < 0.25
+    metrics = {
+        f"pm_fraction.{scheme}.n100": result.pm_fraction[scheme][idx]
+        for scheme in ("BC", "TS", "BC-C", "C-RR")
+    }
+    for i, t_w in enumerate(result.t_w_values_us):
+        for scheme in ("BC", "TS", "BC-C", "C-RR"):
+            metrics[f"n_max.{scheme}.{t_w:g}us"] = result.n_max[scheme][i]
+    return metrics

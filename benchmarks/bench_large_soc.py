@@ -8,6 +8,7 @@ scale: BC's response advantage grows with N while its throughput lead
 persists and the cap still holds.
 """
 
+from repro.perf import register
 from repro.soc.executor import WorkloadExecutor
 from repro.soc.pm import PMKind, build_pm
 from repro.soc.soc import Soc
@@ -32,19 +33,11 @@ def run_all():
     return out
 
 
-def test_large_synthetic_soc(benchmark, report):
-    results = benchmark.pedantic(run_all, rounds=1, iterations=1)
-    n, budget = results["n"], results["budget"]
-    rows = [f"synthetic 8x8 SoC: N={n} accelerators, budget={budget:.0f} mW"]
-    for kind in SCHEMES:
-        r = results[kind.value]
-        rows.append(
-            f"  {kind.value:5s} makespan={r.makespan_us:9.1f} us  "
-            f"resp={r.mean_response_us:7.2f} us  "
-            f"peak={r.peak_power_mw():7.1f} mW  "
-            f"avg={r.average_power_mw():7.1f} mW"
-        )
-    report("Mid-scale SoC (N~60) end-to-end", rows)
+@register("claim.large_soc", suites=("figures",))
+def large_soc():
+    """Fig. 21 trend, simulated: an 8x8 SoC (N=61) under BC, BC-C and C-RR."""
+    results = run_all()
+    budget = results["budget"]
 
     bc = results["BC"]
     bcc = results["BC-C"]
@@ -59,3 +52,10 @@ def test_large_synthetic_soc(benchmark, report):
     # Throughput: BC at least matches BC-C and beats C-RR.
     assert bc.makespan_us <= bcc.makespan_us * 1.05
     assert bc.makespan_us < crr.makespan_us
+    metrics = {"n": results["n"], "budget_mw": budget}
+    for kind in SCHEMES:
+        r = results[kind.value]
+        metrics[f"{kind.value}.makespan_us"] = r.makespan_us
+        metrics[f"{kind.value}.response_us"] = r.mean_response_us
+        metrics[f"{kind.value}.peak_power_mw"] = r.peak_power_mw()
+    return metrics

@@ -28,96 +28,56 @@ TARGET = REPO / "src" / "repro"
 REPEATS = 3
 
 
-@register(
-    "lint.tree_cold",
-    params={},
-    suites=("full",),
-    description="blitzlint full dataflow analysis of the whole "
-    "src/repro tree on a fresh result cache.",
-)
-def run_cold_lint():
-    with tempfile.TemporaryDirectory(prefix="bench-lint-") as scratch:
-        findings = lint_paths(
-            [str(TARGET)], cache=ResultCache(Path(scratch) / "cache.json")
-        )
-    return {"findings": len(findings)}
-
-
-def _timed_lint(cache):
-    t0 = time.perf_counter()
-    findings = lint_paths([str(TARGET)], cache=cache)
-    return time.perf_counter() - t0, findings
-
-
-def test_lint_cache_speedup(report, tmp_path):
-    cache_path = tmp_path / "lint-cache.json"
-
-    # Cold: every file analyzed, cache filled.
-    cold_time, cold_findings = _timed_lint(ResultCache(cache_path))
-    c = ResultCache(cache_path)
-    _, _ = _timed_lint(c)  # fill
-    c.save()
-
-    # Warm: best of REPEATS, all files served from the cache.
-    warm_time = float("inf")
-    warm_findings = None
-    for _ in range(REPEATS):
-        t, warm_findings = _timed_lint(ResultCache(cache_path))
-        warm_time = min(warm_time, t)
-
-    speedup = cold_time / warm_time
-    report(
-        "blitzlint cache economics (src/repro)",
-        [
-            f"cold full analysis : {cold_time * 1000:7.1f} ms",
-            f"warm cache hits    : {warm_time * 1000:7.1f} ms",
-            f"speedup            : {speedup:7.1f}x",
-        ],
-    )
-
-    assert [f.to_dict() for f in warm_findings] == [
-        f.to_dict() for f in cold_findings
-    ]
-    assert speedup >= 5.0, (
-        f"warm cached lint only {speedup:.1f}x faster than cold "
-        "(expected >= 5x)"
-    )
-
-    # Touch one file: exactly that file re-analyzes, findings unchanged.
-    victim = TARGET / "core" / "coins.py"
-    workdir = tmp_path / "tree"
-    shutil.copytree(TARGET, workdir / "repro")
-    edited = workdir / "repro" / "core" / "coins.py"
-    edited.write_text(
-        victim.read_text(encoding="utf-8") + "\n# cache-buster\n",
-        encoding="utf-8",
-    )
-    edit_cache = ResultCache(tmp_path / "edit-cache.json")
-    cold2, base = _timed_lint_at(workdir / "repro", edit_cache)
-    edit_cache.save()
-    t_incr, after = _timed_lint_at(
-        workdir / "repro", ResultCache(tmp_path / "edit-cache.json")
-    )
-    assert [f.to_dict() for f in after] == [f.to_dict() for f in base]
-    assert t_incr < cold2, "incremental re-lint should beat cold analysis"
-
-
-def _timed_lint_at(target, cache):
+def _timed_lint(cache, target=TARGET):
     t0 = time.perf_counter()
     findings = lint_paths([str(target)], cache=cache)
     return time.perf_counter() - t0, findings
 
 
-def main() -> int:
-    from repro.perf import REGISTRY, run_benchmark
+@register("lint.cache", suites=("full",))
+def lint_cache():
+    """blitzlint over src/repro: warm cache hits >= 5x faster, same findings."""
+    with tempfile.TemporaryDirectory(prefix="bench-lint-") as scratch:
+        tmp_path = Path(scratch)
+        cache_path = tmp_path / "lint-cache.json"
 
-    result = run_benchmark(REGISTRY.get("lint.tree_cold"), reps=1, warmup=0)
-    print(
-        f"lint.tree_cold  {min(result.per_rep_s) * 1000:.1f} ms  "
-        f"metrics={result.metrics}"
-    )
-    return 0
+        # Cold: every file analyzed, cache filled.
+        cold_time, cold_findings = _timed_lint(ResultCache(cache_path))
+        c = ResultCache(cache_path)
+        _, _ = _timed_lint(c)  # fill
+        c.save()
 
+        # Warm: best of REPEATS, all files served from the cache.
+        warm_time = float("inf")
+        warm_findings = None
+        for _ in range(REPEATS):
+            t, warm_findings = _timed_lint(ResultCache(cache_path))
+            warm_time = min(warm_time, t)
 
-if __name__ == "__main__":
-    raise SystemExit(main())
+        speedup = cold_time / warm_time
+        assert [f.to_dict() for f in warm_findings] == [
+            f.to_dict() for f in cold_findings
+        ]
+        assert speedup >= 5.0, (
+            f"warm cached lint only {speedup:.1f}x faster than cold "
+            "(expected >= 5x)"
+        )
+
+        # Touch one file: exactly that file re-analyzes, findings unchanged.
+        victim = TARGET / "core" / "coins.py"
+        workdir = tmp_path / "tree"
+        shutil.copytree(TARGET, workdir / "repro")
+        edited = workdir / "repro" / "core" / "coins.py"
+        edited.write_text(
+            victim.read_text(encoding="utf-8") + "\n# cache-buster\n",
+            encoding="utf-8",
+        )
+        edit_cache = ResultCache(tmp_path / "edit-cache.json")
+        cold2, base = _timed_lint(edit_cache, workdir / "repro")
+        edit_cache.save()
+        t_incr, after = _timed_lint(
+            ResultCache(tmp_path / "edit-cache.json"), workdir / "repro"
+        )
+        assert [f.to_dict() for f in after] == [f.to_dict() for f in base]
+        assert t_incr < cold2, "incremental re-lint should beat cold analysis"
+    return {"findings": len(cold_findings), "edited_tree_findings": len(after)}

@@ -18,6 +18,7 @@ from repro.core.engine import CoinExchangeEngine
 from repro.noc.packet import MessageType, Packet, Plane
 from repro.noc.router import CycleNoc
 from repro.noc.topology import MeshTopology
+from repro.perf import register
 from repro.sim.kernel import Simulator
 from repro.sim.rng import rng_for
 
@@ -70,21 +71,14 @@ def run_case(background_plane, d=4, load_period=3):
     }
 
 
-def test_noc_contention(benchmark, report):
-    def scenario():
-        return {
-            "quiet": run_case(None),
-            "dma-plane load": run_case(Plane.DMA_TO_MEM),
-            "plane-5 load": run_case(Plane.MMIO_IRQ),
-        }
-
-    results = benchmark.pedantic(scenario, rounds=1, iterations=1)
-    rows = [
-        f"{name:15s} converged at {r['converged']} cycles  "
-        f"final_err={r['error']:.2f}"
-        for name, r in results.items()
-    ]
-    report("Multi-plane contention (cycle-level NoC)", rows)
+@register("claim.noc_contention", suites=("figures",))
+def noc_contention():
+    """Sec. IV-B: DMA-plane load leaves coin convergence on Plane 5 untouched."""
+    results = {
+        "quiet": run_case(None),
+        "dma-plane load": run_case(Plane.DMA_TO_MEM),
+        "plane-5 load": run_case(Plane.MMIO_IRQ),
+    }
 
     quiet = results["quiet"]["converged"]
     dma = results["dma-plane load"]["converged"]
@@ -96,3 +90,9 @@ def test_noc_contention(benchmark, report):
     # Plane-5 load shares links with coin messages: it may delay
     # convergence, but correctness (conservation, residual) holds.
     assert results["plane-5 load"]["error"] < 1.0
+    return {
+        "converged_cycles.quiet": quiet,
+        "converged_cycles.dma_plane": dma,
+        "converged_cycles.plane5": p5,
+        "error.plane5": results["plane-5 load"]["error"],
+    }

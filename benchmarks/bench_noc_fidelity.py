@@ -8,6 +8,7 @@ router model (link serialization, XY routing, per-plane contention)
 must not change who wins or the makespans beyond a few percent.
 """
 
+from repro.perf import register
 from repro.soc.executor import WorkloadExecutor
 from repro.soc.pm import PMKind, build_pm
 from repro.soc.presets import soc_3x3
@@ -28,14 +29,10 @@ def run_both():
     return out
 
 
-def test_noc_fidelity(benchmark, report):
-    results = benchmark.pedantic(run_both, rounds=1, iterations=1)
-    rows = [
-        f"{fid:10s} {scheme:5s}  makespan={r.makespan_us:8.1f} us  "
-        f"resp={r.mean_response_us:6.2f} us  peak={r.peak_power_mw():6.1f} mW"
-        for (fid, scheme), r in results.items()
-    ]
-    report("NoC fidelity ablation (behavioral vs cycle router)", rows)
+@register("claim.noc_fidelity", suites=("figures",))
+def noc_fidelity():
+    """Method: the behavioral NoC matches the cycle-level router within 5%."""
+    results = run_both()
 
     # Makespans agree within a few percent across fidelities.
     for scheme in ("BC", "C-RR"):
@@ -53,3 +50,11 @@ def test_noc_fidelity(benchmark, report):
     # The cap holds under contention too.
     for r in results.values():
         assert r.peak_power_mw() <= 1.10 * 120.0
+    return {
+        f"{fid}.{scheme}.{key}": value
+        for (fid, scheme), r in results.items()
+        for key, value in (
+            ("makespan_us", r.makespan_us),
+            ("peak_power_mw", r.peak_power_mw()),
+        )
+    }

@@ -26,25 +26,6 @@ TRIALS = 4
 REPEATS = 3
 
 
-@register(
-    "obs.overhead_monitors",
-    params={"d": D, "trials": TRIALS},
-    suites=("full",),
-    description="The fig03-quick workload under the full MonitorSet — "
-    "the most expensive observability configuration. Installs its own "
-    "sink, so no counters/profile.",
-)
-def run_monitored(d, trials):
-    with observing(MonitorSet(default_monitors(), Observation("bench"))):
-        results = run_trials(
-            d, preferred_embodiment(), trials, base_seed=3, threshold=1.5
-        )
-    return {
-        "converged": sum(1 for r in results if r.converged),
-        "packets": sum(r.packets for r in results),
-    }
-
-
 def _workload():
     return run_trials(
         D, preferred_embodiment(), TRIALS, base_seed=3, threshold=1.5
@@ -71,8 +52,18 @@ def _timed(make_sink):
     return best, fingerprint
 
 
-def test_obs_overhead(report):
-    _workload()  # warm imports and allocator before timing anything
+def _workload_metrics():
+    results = _workload()  # also warms imports and allocator before timing
+    return {
+        "converged": sum(1 for r in results if r.converged),
+        "packets": sum(r.packets for r in results),
+    }
+
+
+@register("obs.overhead", suites=("full",))
+def obs_overhead():
+    """Obs off / on / monitors on: identical results, bounded enabled cost."""
+    metrics = _workload_metrics()
 
     off_time, off_fp = _timed(lambda: None)
     obs_time, obs_fp = _timed(lambda: Observation("bench"))
@@ -85,70 +76,38 @@ def test_obs_overhead(report):
     assert obs_fp == off_fp
     assert mon_fp == off_fp
 
-    rows = [
-        f"workload: fig03-quick  d={D} trials={TRIALS} "
-        f"(best of {REPEATS})",
-        f"obs off      {off_time * 1000:8.1f} ms   1.00x",
-        f"obs on       {obs_time * 1000:8.1f} ms   "
-        f"{obs_time / off_time:5.2f}x",
-        f"monitors on  {mon_time * 1000:8.1f} ms   "
-        f"{mon_time / off_time:5.2f}x",
-        f"monitor cost over plain obs: "
-        f"{(mon_time - obs_time) / off_time * 100:+5.1f}% of baseline",
-    ]
-    report("Observability overhead (obs off / on / monitors)", rows)
-
     # Loose bounds — CI boxes are noisy; the claim is "cheap", not a
     # precise constant.  Full tracing measures ~2.9x (it records every
     # exchange); monitors must stay within 1.5x of plain tracing,
     # because they reuse events tracing already pays for.
     assert obs_time < 5.0 * off_time
     assert mon_time < 1.5 * obs_time + 0.05
+    return metrics
 
 
-def test_scoped_lookup_overhead(report):
-    """The scoped ``runtime.sink`` obs-off path vs the old global load.
-
-    The scoped runtime keeps a real ``sink = None`` module attribute
-    bound while no sink is installed anywhere, so the obs-off fast
-    path is the *same* one-global-load the pre-scoped runtime did —
-    that equivalence (≤1.1x) is the acceptance bound.  While any
-    context observes, reads fall through to the ContextVar via module
-    ``__getattr__``; ``_contextvar_only`` forces that path so its
-    price is measured too (paid only while observability is actually
-    on somewhere, i.e. when a run is being traced anyway).
-    """
+# The scoped runtime keeps a real ``sink = None`` module attribute
+# bound while no sink is installed anywhere, so the obs-off fast path
+# is the *same* one-global-load the pre-scoped runtime did — that
+# equivalence (≤1.1x) is the acceptance bound.  While any context
+# observes, reads fall through to the ContextVar via module
+# ``__getattr__``; ``_contextvar_only`` forces that path so its price
+# is measured too (paid only while observability is actually on
+# somewhere, i.e. when a run is being traced anyway).
+@register("obs.scoped_lookup", suites=("full",))
+def scoped_lookup_overhead():
+    """The scoped ``runtime.sink`` obs-off path vs the old global load."""
     from repro.obs.runtime import _contextvar_only
 
-    _workload()  # warm imports and allocator before timing anything
+    metrics = _workload_metrics()
 
-    def timed_off():
-        best = float("inf")
-        fingerprint = None
-        for _ in range(REPEATS):
-            t0 = time.perf_counter()
-            results = _workload()
-            best = min(best, time.perf_counter() - t0)
-            fingerprint = _fingerprint(results)
-        return best, fingerprint
-
-    fast_time, fast_fp = timed_off()  # attr bound: the old global load
+    # attr bound: the old global load
+    fast_time, fast_fp = _timed(lambda: None)
     with _contextvar_only():  # every read through the per-context slot
-        scoped_time, scoped_fp = timed_off()
+        scoped_time, scoped_fp = _timed(lambda: None)
 
     # Scoping must not change a result bit, on either lookup path.
     assert scoped_fp == fast_fp
 
-    report(
-        "Scoped sink lookup (obs off: fast attr vs forced ContextVar)",
-        [
-            f"workload: fig03-quick  d={D} trials={TRIALS} "
-            f"(best of {REPEATS})",
-            f"fast path (= old global)  {fast_time * 1000:8.1f} ms   1.00x",
-            f"contextvar (observing)    {scoped_time * 1000:8.1f} ms   "
-            f"{scoped_time / fast_time:5.2f}x",
-        ],
-    )
     # Acceptance: the scoped runtime's obs-off path costs ≤1.1x the
     # old module-global load.  With no sink installed anywhere the
     # runtime binds a real ``sink = None`` attribute, so the obs-off
@@ -161,20 +120,4 @@ def test_scoped_lookup_overhead(report):
 
     assert "sink" in vars(_runtime), "obs-off fast-path attribute unbound"
     assert scoped_time < 1.6 * fast_time + 0.05
-
-
-def main() -> int:
-    from repro.perf import REGISTRY, run_benchmark
-
-    result = run_benchmark(
-        REGISTRY.get("obs.overhead_monitors"), reps=REPEATS, warmup=1
-    )
-    print(
-        f"obs.overhead_monitors  best "
-        f"{min(result.per_rep_s) * 1000:.1f} ms  metrics={result.metrics}"
-    )
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+    return metrics

@@ -7,13 +7,13 @@ power-management response compounds with the frame count.
 """
 
 from repro.experiments import streaming
+from repro.perf import register
 
 
-def test_streaming_frame_rate(benchmark, report):
-    result = benchmark.pedantic(
-        streaming.run, kwargs={"frames": 4}, rounds=1, iterations=1
-    )
-    report("Streaming: 4-frame pipelined mini-ERA", streaming.format_rows(result))
+@register("claim.streaming", params={"frames": 4}, suites=("figures",))
+def frame_rate(frames):
+    """Streaming mini-ERA: BC sustains a higher frame rate than C-RR."""
+    result = streaming.run(frames=frames)
 
     # BC sustains a clearly higher frame rate than C-RR...
     assert result.frame_speedup(vs="C-RR") > 1.15
@@ -25,3 +25,11 @@ def test_streaming_frame_rate(benchmark, report):
     bc = result.cells["BC"].mean_response_us
     assert bc < result.cells["BC-C"].mean_response_us
     assert bc < result.cells["C-RR"].mean_response_us
+    return {
+        "frame_speedup.C-RR": result.frame_speedup(vs="C-RR"),
+        "frame_speedup.BC-C": result.frame_speedup(vs="BC-C"),
+        **{
+            f"response_us.{name}": cell.mean_response_us
+            for name, cell in result.cells.items()
+        },
+    }

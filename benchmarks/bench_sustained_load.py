@@ -8,6 +8,7 @@ equilibrium: the empirical crossover must sit where the model puts it.
 """
 
 from repro.experiments import sustained_load
+from repro.perf import register
 
 T_W_VALUES_US = (20.0, 60.0, 200.0, 600.0)
 
@@ -21,14 +22,10 @@ def run_sweep():
     ]
 
 
-def test_sustained_load(benchmark, report):
-    results = benchmark.pedantic(run_sweep, rounds=1, iterations=1)
-    report(
-        "Sustained churn at N=100 (analytic crossover: T_w ~ 0.2 ms)",
-        sustained_load.format_rows(results),
-    )
-
-    by_tw = {r.t_w_us: r for r in results}
+@register("claim.sustained_load", suites=("figures",))
+def sustained():
+    """Figs. 1/21 criterion: at N=100 BC keeps up from T_w ~ 0.2 ms on."""
+    by_tw = {r.t_w_us: r for r in run_sweep()}
     # Far below the crossover: the PM is stale almost always.
     assert not by_tw[20.0].keeps_up
     # At and above the paper's supported point, it keeps up.
@@ -37,3 +34,7 @@ def test_sustained_load(benchmark, report):
     # Converged fraction is monotone in T_w across the sweep.
     fractions = [by_tw[t].converged_fraction for t in T_W_VALUES_US]
     assert fractions == sorted(fractions)
+    return {
+        f"converged_fraction.{t:g}us": f
+        for t, f in zip(T_W_VALUES_US, fractions)
+    }

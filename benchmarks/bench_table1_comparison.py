@@ -1,14 +1,14 @@
 """Table I: implemented-strategy comparison rows."""
 
 from repro.experiments import fig18_4x4_eval, table1
+from repro.perf import register
 
 
-def test_table1_comparison(benchmark, report):
+@register("table1.comparison", suites=("figures",))
+def comparison():
+    """Table I: control, DVFS levels and scaling class per strategy."""
     f18 = fig18_4x4_eval.run()
-    result = benchmark.pedantic(
-        table1.run, args=(f18,), rounds=1, iterations=1
-    )
-    report("Table I: strategy comparison", table1.format_rows(result))
+    result = table1.run(f18)
 
     rows = result.rows
     # Structure: 64 DVFS levels for the coin-based schemes (6-bit
@@ -28,5 +28,11 @@ def test_table1_comparison(benchmark, report):
     # Measured responses at N=13: BC fastest in the parallel regime
     # (the table's 0.39-0.77 us row vs 3.7-8.0 us for centralized).
     bc_par = f18.get("BC", "WL-Par", 450.0).mean_response_us
+    metrics = {f"dvfs_levels.{name}": r.dvfs_levels for name, r in rows.items()}
+    metrics["response_us.BC.WL-Par.450mw"] = bc_par
     for scheme in ("BC-C", "C-RR"):
         assert bc_par < f18.get(scheme, "WL-Par", 450.0).mean_response_us
+        metrics[f"response_us.{scheme}.WL-Par.450mw"] = f18.get(
+            scheme, "WL-Par", 450.0
+        ).mean_response_us
+    return metrics

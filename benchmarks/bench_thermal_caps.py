@@ -11,6 +11,7 @@ from repro.core.config import preferred_embodiment
 from repro.core.engine import CoinExchangeEngine
 from repro.noc.behavioral import BehavioralNoc
 from repro.noc.topology import MeshTopology
+from repro.perf import register
 from repro.sim.kernel import Simulator
 
 
@@ -36,16 +37,10 @@ def run_capped(cap: int, d: int = 4, horizon: int = 120_000):
     return engine, center
 
 
-def test_thermal_caps(benchmark, report):
-    def scenario():
-        return {cap: run_capped(cap) for cap in (12, 24, 63)}
-
-    results = benchmark.pedantic(scenario, rounds=1, iterations=1)
-    rows = []
-    for cap, (engine, center) in results.items():
-        held = engine.coins(center).has
-        rows.append(f"cap={cap:3d} coins  hotspot holds {held:3d}")
-    report("Thermal-cap ablation (hotspot tile)", rows)
+@register("claim.thermal_caps", suites=("figures",))
+def thermal_caps():
+    """Sec. III-A: a per-tile coin cap holds a hungry hotspot at or below it."""
+    results = {cap: run_capped(cap) for cap in (12, 24, 63)}
 
     # The hotspot is held at/below its cap, and tighter caps hold fewer
     # coins; the uncapped-equivalent (63) attracts the most.
@@ -57,3 +52,4 @@ def test_thermal_caps(benchmark, report):
         assert held <= cap
     assert holdings[12] <= holdings[24] <= holdings[63]
     assert holdings[63] > 20  # the hungry tile does attract coins
+    return {f"hotspot_coins.cap{cap}": held for cap, held in holdings.items()}

@@ -8,6 +8,7 @@ range of every accelerator class.
 """
 
 from repro.dvfs.actuator import ConventionalDualLoop, TileActuator
+from repro.perf import register
 from repro.power.characterization import ACCELERATOR_CATALOG, get_curve
 from repro.sim.kernel import Simulator
 
@@ -31,19 +32,13 @@ def sweep():
     return rows
 
 
-def test_uvfr_vs_conventional(benchmark, report):
-    rows = benchmark(sweep)
-    lines = [
-        f"{name:8s} guard-band power overhead: "
-        f"{r['mean_power_overhead'] * 100:5.1f}%   settle: UVFR "
-        f"{r['uvfr_settle']:4d} cy vs conventional "
-        f"{r['conventional_settle']:4d} cy"
-        for name, r in rows.items()
-    ]
-    report("Fig. 9 ablation: UVFR vs conventional actuation", lines)
-
+@register("claim.uvfr_vs_conventional", suites=("figures",))
+def uvfr_vs_conventional():
+    """Fig. 9: a conventional dual loop pays guard-band power and settles slower."""
+    rows = sweep()
     for name, r in rows.items():
         # The guard-band costs real power at mid-range operating points...
         assert r["mean_power_overhead"] > 0.03, name
         # ...and the sequenced transition is slower than UVFR's.
         assert r["conventional_settle"] > r["uvfr_settle"], name
+    return {f"{name}.{key}": v for name, r in rows.items() for key, v in r.items()}

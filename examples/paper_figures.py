@@ -4,7 +4,8 @@
 The one-stop reproduction driver: runs each experiment module (at
 reduced trial counts with ``--quick``) and prints the rows the paper
 reports, in order.  For CSV outputs use ``scripts/export_results.py``;
-for the shape assertions run the benchmark harness.
+for the shape assertions run
+``blitzcoin-repro bench run --suite figures``.
 
 Run:  python examples/paper_figures.py [--quick] [--only fig17 fig20 ...]
 """

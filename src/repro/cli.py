@@ -765,32 +765,26 @@ def cmd_bench_profile(args: argparse.Namespace) -> int:
     from repro.perf import (
         REGISTRY,
         PerfError,
+        PhaseProfiler,
+        call_benchmark,
         load_builtin_suites,
         phase_chrome_trace,
         phase_summary_lines,
-        profiling,
     )
 
     load_builtin_suites()
+    profiler = PhaseProfiler()
     try:
         bench = REGISTRY.get(args.name)
+        if not bench.profile:
+            raise PerfError(
+                f"benchmark {bench.name!r} is not profileable "
+                "(it manages its own observability sink)"
+            )
+        call_benchmark(bench, profiler)
     except PerfError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if not bench.profile:
-        print(
-            f"error: benchmark {bench.name!r} is not profileable "
-            "(it manages its own observability sink)",
-            file=sys.stderr,
-        )
-        return 2
-    kwargs = bench.param_dict
-    if bench.setup is not None:
-        extra = bench.setup(**kwargs)
-        if extra:
-            kwargs.update(extra)
-    with profiling() as profiler:
-        bench.run(**kwargs)
     for line in phase_summary_lines(profiler):
         print(line)
     if args.trace_out:

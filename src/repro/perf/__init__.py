@@ -25,6 +25,7 @@ from repro.perf.artifact import (
 )
 from repro.perf.harness import (
     BenchResult,
+    call_benchmark,
     counter_total,
     exact_quantile,
     peak_rss_kb,
@@ -60,6 +61,7 @@ __all__ = [
     "REGISTRY",
     "bench_artifact",
     "bench_thresholds",
+    "call_benchmark",
     "classify_site",
     "compare_bench_artifacts",
     "counter_total",

@@ -3,11 +3,16 @@
 One :func:`run_benchmark` call executes a registered
 :class:`~repro.perf.registry.Benchmark`: ``warmup`` untimed repetitions
 (imports, allocator, caches), then ``reps`` timed ones, recording per-
-repetition wall seconds, exact min/median/p90/mean stats, the process
-peak RSS, any deterministic result metrics the benchmark returns, and
-snapshots of the declared :mod:`repro.obs` counters.  Benchmarks that
-declare ``profile=True`` additionally get one phase-attributed
-repetition under :class:`~repro.perf.phase.PhaseProfiler`.
+repetition wall seconds, exact min/median/p90/mean stats, the peak RSS
+of those repetitions and any deterministic result metrics the benchmark
+returns.  Timed repetitions run with no observability sink installed.
+A benchmark that declares counters gets one extra untimed repetition
+under a fresh :class:`~repro.obs.sink.Observation`, whose counter
+totals are snapshotted; one that declares ``profile=True`` can get one
+more under :class:`~repro.perf.phase.PhaseProfiler`.  Every repetition
+goes through :func:`call_benchmark`.  :func:`run_suite_benchmarks` runs
+each benchmark in its own forked child process, so the peak RSS it
+reports is that benchmark's own.
 
 The split the artifact layer depends on: everything wall-clock-derived
 (times, RSS, phase attribution) is *timing*; everything else (name,
@@ -21,18 +26,23 @@ byte-reproducible run over run.
 from __future__ import annotations
 
 import math
+import multiprocessing
 import time
+import traceback
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from pathlib import Path
+from typing import Any, ContextManager, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.obs.metrics import Counter
 from repro.obs.runtime import observing
 from repro.obs.sink import Observation
-from repro.perf.phase import PhaseProfiler, profiling
+from repro.perf.phase import PhaseProfiler
 from repro.perf.registry import Benchmark, PerfError
 
 __all__ = [
     "BenchResult",
+    "call_benchmark",
     "counter_total",
     "exact_quantile",
     "peak_rss_kb",
@@ -116,11 +126,12 @@ class BenchResult:
     warmup: int
     #: Deterministic result metrics returned by the benchmark body.
     metrics: Dict[str, float] = field(default_factory=dict)
-    #: Deterministic obs counter totals from the last timed repetition.
+    #: Deterministic obs counter totals from the counted repetition.
     counters: Dict[str, int] = field(default_factory=dict)
     #: Wall seconds, one entry per timed repetition (timing).
     per_rep_s: List[float] = field(default_factory=list)
-    #: Process peak RSS in KiB after the run (timing).
+    #: Peak RSS in KiB of the process over the warmup and timed
+    #: repetitions (timing).
     peak_rss_kb: int = 0
     #: phase -> wall seconds from the profiled repetition (timing).
     phases: Dict[str, float] = field(default_factory=dict)
@@ -155,26 +166,52 @@ def _coerce_metrics(name: str, value: Any) -> Dict[str, float]:
     return out
 
 
-def _one_rep(
-    bench: Benchmark, *, session: Optional[Observation]
-) -> "tuple[float, Any]":
-    """Run one repetition (setup untimed, run timed) and return
-    (wall seconds, run() return value)."""
+def _failed_check(name: str, exc: AssertionError) -> str:
+    """One line naming the benchmark and the ``assert`` that failed."""
+    frame = traceback.extract_tb(exc.__traceback__)[-1]
+    message = " ".join(str(exc).split())
+    return (
+        f"benchmark {name!r} failed a check at "
+        f"{Path(frame.filename).name}:{frame.lineno}: "
+        f"{(frame.line or 'assert').strip()}"
+        + (f" ({message})" if message else "")
+    )
+
+
+def call_benchmark(
+    bench: Benchmark, scope: ContextManager[Any] = nullcontext()
+) -> Tuple[float, Any]:
+    """One repetition: ``setup`` untimed, then ``run`` timed inside
+    ``scope`` (an installed sink or profiler, say).
+
+    Returns (wall seconds, ``run``'s return value).  A failed
+    ``assert`` in the body is raised as a one-line :class:`PerfError`
+    naming the benchmark and the failing line.
+    """
     kwargs = bench.param_dict
     if bench.setup is not None:
-        extra = bench.setup(**kwargs)
-        if extra:
-            kwargs.update(extra)
-    if session is not None:
-        with observing(session):
+        kwargs.update(bench.setup(**kwargs) or {})
+    try:
+        with scope:
             t0 = time.perf_counter()
             value = bench.run(**kwargs)
             elapsed = time.perf_counter() - t0
-    else:
-        t0 = time.perf_counter()
-        value = bench.run(**kwargs)
-        elapsed = time.perf_counter() - t0
+    except AssertionError as exc:
+        raise PerfError(_failed_check(bench.name, exc)) from exc
     return elapsed, value
+
+
+def _same_metrics(
+    name: str, previous: Optional[Dict[str, float]], value: Any
+) -> Dict[str, float]:
+    metrics = _coerce_metrics(name, value)
+    if previous is not None and metrics != previous:
+        raise PerfError(
+            f"benchmark {name!r} returned different metrics "
+            f"across repetitions: {previous} != {metrics} — "
+            "benchmark bodies must be deterministic"
+        )
+    return metrics
 
 
 def run_benchmark(
@@ -184,49 +221,41 @@ def run_benchmark(
     warmup: int = 1,
     profile: bool = False,
 ) -> BenchResult:
-    """Execute one benchmark: warmup, timed reps, optional profile rep."""
+    """Execute one benchmark: warmup, timed reps, then the counted and
+    profiled reps it declares."""
     if reps < 1:
         raise PerfError(f"reps must be >= 1, got {reps}")
     if warmup < 0:
         raise PerfError(f"warmup must be >= 0, got {warmup}")
 
     for _ in range(warmup):
-        _one_rep(bench, session=None)
+        call_benchmark(bench)
 
     per_rep: List[float] = []
-    metrics: Dict[str, float] = {}
-    counters: Dict[str, int] = {}
-    for rep in range(reps):
-        # A fresh Observation per rep keeps counter totals per-run
-        # deterministic instead of accumulating across repetitions.
-        session = Observation(bench.name) if bench.counters else None
-        elapsed, value = _one_rep(bench, session=session)
+    metrics: Optional[Dict[str, float]] = None
+    for _ in range(reps):
+        elapsed, value = call_benchmark(bench)
         per_rep.append(elapsed)
-        rep_metrics = _coerce_metrics(bench.name, value)
-        if rep and rep_metrics != metrics:
-            raise PerfError(
-                f"benchmark {bench.name!r} returned different metrics "
-                f"across repetitions: {metrics} != {rep_metrics} — "
-                "benchmark bodies must be deterministic"
-            )
-        metrics = rep_metrics
-        if session is not None:
-            counters = {
-                name: counter_total(session, name)
-                for name in bench.counters
-            }
+        metrics = _same_metrics(bench.name, metrics, value)
+    # Before the counted and profiled reps, whose sinks hold memory.
+    rss_kb = peak_rss_kb()
+
+    counters: Dict[str, int] = {}
+    if bench.counters:
+        # Counting costs a full Observation sink (3-5x the wall time),
+        # so it gets its own untimed rep and a fresh session.
+        session = Observation(bench.name)
+        _, value = call_benchmark(bench, observing(session))
+        metrics = _same_metrics(bench.name, metrics, value)
+        counters = {
+            name: counter_total(session, name) for name in bench.counters
+        }
 
     phases: Dict[str, float] = {}
     profile_total = 0.0
     if profile and bench.profile:
-        profiler: PhaseProfiler
-        with profiling() as profiler:
-            kwargs = bench.param_dict
-            if bench.setup is not None:
-                extra = bench.setup(**kwargs)
-                if extra:
-                    kwargs.update(extra)
-            bench.run(**kwargs)
+        profiler = PhaseProfiler()
+        call_benchmark(bench, profiler)
         phases = {k: profiler.totals[k] for k in sorted(profiler.totals)}
         profile_total = profiler.total_s
 
@@ -236,13 +265,50 @@ def run_benchmark(
         params=bench.param_dict,
         reps=reps,
         warmup=warmup,
-        metrics=metrics,
+        metrics=metrics or {},
         counters=counters,
         per_rep_s=per_rep,
-        peak_rss_kb=peak_rss_kb(),
+        peak_rss_kb=rss_kb,
         phases=phases,
         profile_total_s=profile_total,
     )
+
+
+def _run_in_child(writer: Any, bench: Benchmark, options: Dict[str, Any]) -> None:
+    """Forked child: run ``bench`` and send (ok, result or message)."""
+    try:
+        outcome: Tuple[bool, Any] = (True, run_benchmark(bench, **options))
+    except PerfError as exc:
+        outcome = (False, str(exc))
+    except Exception as exc:  # report it; the parent must not hang
+        traceback.print_exc()
+        outcome = (False, f"benchmark {bench.name!r} raised {exc!r}")
+    writer.send(outcome)
+    writer.close()
+
+
+def _run_forked(bench: Benchmark, **options: Any) -> BenchResult:
+    """:func:`run_benchmark` in a forked child process, so the result's
+    ``peak_rss_kb`` is this benchmark's own high-water mark (a fork
+    starts from the parent's current RSS, not from its peak)."""
+    ctx = multiprocessing.get_context("fork")
+    reader, writer = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_run_in_child, args=(writer, bench, options))
+    child.start()
+    writer.close()
+    try:
+        ok, payload = reader.recv()
+    except EOFError:  # the child died before it could report
+        ok, payload = False, None
+    finally:
+        reader.close()
+        child.join()
+    if not ok:
+        raise PerfError(
+            payload
+            or f"benchmark {bench.name!r} died with exit code {child.exitcode}"
+        )
+    return payload
 
 
 def run_suite_benchmarks(
@@ -253,13 +319,14 @@ def run_suite_benchmarks(
     profile: bool = False,
     progress: Optional[Any] = None,
 ) -> List[BenchResult]:
-    """Run a list of benchmarks in order; ``progress(i, n, bench)`` is
-    called before each one when given."""
+    """Run a list of benchmarks in order, each in its own forked child
+    process; ``progress(i, n, bench)`` is called before each one when
+    given.  The first failure raises :class:`PerfError`."""
     results: List[BenchResult] = []
     for i, bench in enumerate(benchmarks):
         if progress is not None:
             progress(i, len(benchmarks), bench)
         results.append(
-            run_benchmark(bench, reps=reps, warmup=warmup, profile=profile)
+            _run_forked(bench, reps=reps, warmup=warmup, profile=profile)
         )
     return results

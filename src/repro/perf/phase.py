@@ -32,8 +32,7 @@ disabled one (``tests/test_perf_phase.py`` proves it).
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.obs.export import metadata_event, trace_document
 from repro.obs.profile import callback_site
@@ -90,7 +89,8 @@ class PhaseProfiler(ObsSink):
     :class:`MonitorSet`); every delegated call is timed and credited
     to the ``obs`` phase, so the profiler can answer "what do the
     monitors cost" in the same breakdown as "what does the engine
-    cost".  Use :func:`profiling` to scope installation.
+    cost".  As a context manager it opens its wall window and installs
+    itself as the sink for the ``with`` body (see :func:`profiling`).
     """
 
     def __init__(self, inner: Optional[ObsSink] = None) -> None:
@@ -109,6 +109,15 @@ class PhaseProfiler(ObsSink):
         self._t0: Optional[float] = None
 
     # ------------------------------------------------------------ lifecycle
+    def __enter__(self) -> PhaseProfiler:
+        self.start()
+        install(self)
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        uninstall()
+        self.finish()
+
     def start(self) -> None:
         """Open the measured wall window (idempotent)."""
         if self._t0 is None:
@@ -219,11 +228,8 @@ class PhaseProfiler(ObsSink):
         self._delegate("sample", name, time_, value, **kw)
 
 
-@contextmanager
-def profiling(
-    inner: Optional[ObsSink] = None,
-) -> Iterator[PhaseProfiler]:
-    """Install a :class:`PhaseProfiler` for the ``with`` body.
+def profiling(inner: Optional[ObsSink] = None) -> PhaseProfiler:
+    """A :class:`PhaseProfiler` to install for a ``with`` body.
 
     >>> from repro.perf.phase import profiling
     >>> with profiling() as prof:
@@ -231,14 +237,7 @@ def profiling(
     >>> prof.events
     0
     """
-    profiler = PhaseProfiler(inner)
-    profiler.start()
-    install(profiler)
-    try:
-        yield profiler
-    finally:
-        uninstall()
-        profiler.finish()
+    return PhaseProfiler(inner)
 
 
 # ------------------------------------------------------------------ readouts

@@ -14,14 +14,21 @@ a benchmark reports — result metrics, observability counters — is
 byte-reproducible run over run.  That is what lets the CI determinism
 check diff two fresh ``BENCH_*.json`` artifacts modulo timing fields.
 
-The built-in suite lives in :mod:`repro.perf.suites`; standalone
-``benchmarks/bench_*.py`` scripts register additional entries at
-import time through the same :func:`register` decorator.
+The ``core`` and ``serve`` suites live in :mod:`repro.perf.suites`.
+The ``figures`` suite (one entry per paper figure, table and claim,
+each asserting the shape the paper reports) and the heavyweight
+``full`` suite are the ``benchmarks/bench_*.py`` files of the source
+checkout, which register through the same :func:`register` decorator
+when :func:`load_builtin_suites` imports them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import importlib.util
+import sys
+from dataclasses import dataclass
+from pathlib import Path
+from types import ModuleType
 from typing import (
     Any,
     Callable,
@@ -34,10 +41,12 @@ from typing import (
 )
 
 __all__ = [
+    "BENCH_DIR",
     "Benchmark",
     "BenchmarkRegistry",
     "PerfError",
     "REGISTRY",
+    "import_bench_file",
     "load_builtin_suites",
     "register",
 ]
@@ -192,20 +201,48 @@ class BenchmarkRegistry:
         return name in self._benchmarks
 
 
-#: The process-wide registry the CLI and the standalone bench scripts
-#: share.  Populated lazily by :func:`load_builtin_suites`.
+#: The process-wide registry the CLI and the bench files share.
+#: Populated lazily by :func:`load_builtin_suites`.
 REGISTRY = BenchmarkRegistry()
 
 #: Module-level convenience decorator bound to :data:`REGISTRY`.
 register = REGISTRY.register
 
+#: ``benchmarks/`` of the source checkout (absent from an installed copy,
+#: which then has only the ``core`` and ``serve`` suites).
+BENCH_DIR = Path(__file__).resolve().parents[3] / "benchmarks"
+
+
+def import_bench_file(path: Path) -> ModuleType:
+    """Import a ``bench_*.py`` file by path, as the module ``path.stem``.
+
+    Every importer must go through here: the same file imported under
+    a second module name would declare new function objects, which the
+    registry rejects as conflicting declarations.
+    """
+    module = sys.modules.get(path.stem)
+    if module is None:
+        spec = importlib.util.spec_from_file_location(path.stem, path)
+        if spec is None or spec.loader is None:
+            raise PerfError(f"cannot import benchmark file {path}")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[path.stem] = module
+        try:
+            spec.loader.exec_module(module)
+        except BaseException:
+            del sys.modules[path.stem]
+            raise
+    return module
+
 
 def load_builtin_suites() -> BenchmarkRegistry:
-    """Import the built-in suite declarations into :data:`REGISTRY`.
+    """Import every suite's declarations into :data:`REGISTRY`.
 
     Import is idempotent (module caching plus idempotent :meth:`add`),
     so callers may invoke this freely before any look-up.
     """
     import repro.perf.suites  # noqa: F401  (registration side effect)
 
+    for path in sorted(BENCH_DIR.glob("bench_*.py")):
+        import_bench_file(path)
     return REGISTRY

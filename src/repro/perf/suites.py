@@ -12,10 +12,9 @@ the CI bench job, so every body but two targets well under a second.
 The exceptions are the single large-mesh trials
 ``engine.convergence.d16`` and ``engine.convergence.d32`` (about 0.5 s
 and 4 s on a 2-vCPU host), which measure how the engine scales with N
-instead of extrapolating from d=6; they declare no counters, so their
-timed reps run without an obs sink.  The standalone
-``benchmarks/bench_*.py`` pytest benchmarks remain the heavyweight
-versions.
+instead of extrapolating from d=6.  The paper's figures, and the
+heavyweight versions of these workloads, are the ``figures`` and
+``full`` suites in ``benchmarks/bench_*.py``.
 
 The ``serve`` suite tracks the simulation service (repro.serve, see
 docs/SERVICE.md): cold submission latency (server start + submit +
@@ -72,6 +71,25 @@ def _engine_convergence(d, trials, base_seed, threshold):
         threshold=threshold,
     )
     return _trial_metrics(results)
+
+
+register(
+    "engine.convergence.d16",
+    params={"d": 16, "trials": 1, "base_seed": 3, "threshold": 1.5},
+    suites=("core",),
+    profile=True,
+    description="One seeded preferred-embodiment trial on a 16x16 mesh "
+    "(N=256).",
+)(_engine_convergence)
+register(
+    "engine.convergence.d32",
+    params={"d": 32, "trials": 1, "base_seed": 3, "threshold": 1.5},
+    suites=("core",),
+    description="One seeded preferred-embodiment trial on a 32x32 mesh "
+    "(N=1024): the hot loop at the scale of Fig. 21.  Neither counted "
+    "nor profiled: under an obs sink or the phase profiler it takes "
+    "three to five times as long.",
+)(_engine_convergence)
 
 
 @register(
@@ -227,27 +245,6 @@ def _obs_overhead_on(d, trials, base_seed, threshold):
             threshold=threshold,
         )
     return _trial_metrics(results)
-
-
-# Registered last: peak RSS is per process, so an earlier d=32 trial
-# would raise every later entry's ``peak_rss_kb``.
-register(
-    "engine.convergence.d16",
-    params={"d": 16, "trials": 1, "base_seed": 3, "threshold": 1.5},
-    suites=("core",),
-    profile=True,
-    description="One seeded preferred-embodiment trial on a 16x16 mesh "
-    "(N=256).",
-)(_engine_convergence)
-register(
-    "engine.convergence.d32",
-    params={"d": 32, "trials": 1, "base_seed": 3, "threshold": 1.5},
-    suites=("core",),
-    description="One seeded preferred-embodiment trial on a 32x32 mesh "
-    "(N=1024): the hot loop at the scale of Fig. 21.  Neither counted "
-    "nor profiled: under an obs sink or the phase profiler it takes "
-    "three to five times as long.",
-)(_engine_convergence)
 
 
 # ------------------------------------------------------------- serve suite

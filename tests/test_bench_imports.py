@@ -1,33 +1,24 @@
-"""Every benchmarks/bench_*.py must import without side effects.
+"""Every benchmarks/bench_*.py is a figures or full suite of repro.perf.
 
-The perf registry relies on this: ``bench run`` and pytest collection
-both import benchmark modules, so an import that ran a simulation,
-installed an observability sink, or wrote files would execute that
-work twice (and poison the fast-flag bit-identity guarantee).
+``bench`` subcommands import every benchmark module through
+:func:`repro.perf.registry.load_builtin_suites`, so an import that ran a
+simulation, installed an observability sink, or wrote files would do
+that work on every ``bench list`` (and poison the fast-flag
+bit-identity guarantee).  The registry is the only way a benchmark
+runs: no file carries a pytest test or a script entrypoint.
 """
-
-import importlib.util
-import sys
-from pathlib import Path
 
 import pytest
 
 import repro.obs.runtime as obs_runtime
-from repro.perf.registry import REGISTRY
+from repro.perf.registry import (
+    BENCH_DIR,
+    REGISTRY,
+    import_bench_file,
+    load_builtin_suites,
+)
 
-BENCH_DIR = Path(__file__).resolve().parent.parent / "benchmarks"
 BENCH_FILES = sorted(BENCH_DIR.glob("bench_*.py"))
-
-
-def _import(path: Path):
-    name = path.stem
-    if name in sys.modules:
-        return sys.modules[name]
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_benchmark_files_exist():
@@ -39,7 +30,7 @@ def test_benchmark_files_exist():
 )
 def test_imports_cleanly_without_side_effects(path):
     before = obs_runtime.sink
-    module = _import(path)
+    module = import_bench_file(path)
     # No sink installed, no simulation scheduled at import time.
     assert obs_runtime.sink is before is None
     # Anything executable is behind a guard, never at module level.
@@ -47,23 +38,36 @@ def test_imports_cleanly_without_side_effects(path):
 
 
 def test_migrated_benchmarks_register_declarations():
+    # Every file declares at least one figures or full entry.
     for path in BENCH_FILES:
-        _import(path)
-    for name in (
-        "fig03.full",
-        "campaign.parallel",
-        "lint.tree_cold",
-        "obs.overhead_monitors",
-    ):
-        assert name in REGISTRY, name
+        import_bench_file(path)
+    by_module = {}
+    for name in REGISTRY.names():
         bench = REGISTRY.get(name)
-        assert "full" in bench.suites
-        assert bench.description
+        by_module.setdefault(bench.run.__module__, []).append(bench)
+    for path in BENCH_FILES:
+        benches = by_module.get(path.stem)
+        assert benches, f"{path.name} registers no benchmark"
+        for bench in benches:
+            assert {"figures", "full"} & set(bench.suites), bench.name
+            assert bench.description, bench.name
 
 
-def test_standalone_entrypoints_are_guarded():
-    # Files that define main() must only call it under __main__.
+def test_bench_files_define_no_tests_or_entrypoints():
     for path in BENCH_FILES:
         text = path.read_text(encoding="utf-8")
-        if "def main(" in text:
-            assert 'if __name__ == "__main__":' in text, path.name
+        assert "def test_" not in text, path.name
+        assert "def main(" not in text, path.name
+        assert "__main__" not in text, path.name
+    assert not (BENCH_DIR / "conftest.py").exists()
+
+
+def test_builtin_suites_include_the_bench_files():
+    reg = load_builtin_suites()
+    figures = [b.name for b in reg.suite("figures")]
+    assert len(figures) >= 28
+    assert "fig03.full" in figures
+    assert reg.suite("full")
+    # Loading again re-imports nothing: the same declarations stand.
+    assert load_builtin_suites() is reg
+    assert [b.name for b in reg.suite("figures")] == figures

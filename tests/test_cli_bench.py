@@ -11,6 +11,7 @@ from repro.perf.artifact import (
     strip_timing,
     write_bench_artifact,
 )
+from repro.perf.registry import REGISTRY, Benchmark
 
 #: The fastest core benchmark — CLI behavior tests don't need the suite.
 QUICK = ["--bench", "obs.overhead_off", "--reps", "1", "--warmup", "0"]
@@ -46,6 +47,27 @@ class TestBenchRun:
                    "--out", str(tmp_path / "x.json")])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_failed_check_is_one_error_line(self, tmp_path, capfd, monkeypatch):
+        def shape_check():
+            speedup = 1.2
+            assert speedup > 100
+
+        monkeypatch.setitem(
+            REGISTRY._benchmarks,
+            "test.failing",
+            Benchmark(name="test.failing", run=shape_check, suites=("test",)),
+        )
+        out = tmp_path / "x.json"
+        rc = main(["bench", "run", "--suite", "test", "--reps", "1",
+                   "--warmup", "0", "--no-profile", "--out", str(out)])
+        assert rc != 0
+        err = capfd.readouterr().err
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith("error: benchmark 'test.failing' failed a check")
+        assert "assert speedup > 100" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_unknown_bench_is_rc2(self, tmp_path, capsys):
         rc = main(["bench", "run", "--bench", "nope", "-q",

@@ -1,5 +1,7 @@
 """Benchmark registry and harness semantics."""
 
+import os
+
 import pytest
 
 from repro.perf.harness import (
@@ -203,6 +205,73 @@ class TestRunBenchmark:
             r.profile_total_s, rel=0.05
         )
         assert run_benchmark(prof, reps=1, warmup=0, profile=False).phases == {}
+
+    def test_counted_benchmark_times_reps_without_a_sink(self):
+        import repro.obs.runtime as obs_runtime
+        from repro.core.config import preferred_embodiment
+        from repro.core.runner import run_trials
+
+        sink_seen = []
+
+        def body():
+            sink_seen.append(obs_runtime.sink is not None)
+            run_trials(
+                4, preferred_embodiment(), 1, base_seed=3, threshold=1.5
+            )
+
+        b = Benchmark(
+            name="b", run=body, counters=("engine.exchanges_initiated",)
+        )
+        result = run_benchmark(b, reps=3, warmup=1)
+        # 1 warmup + 3 timed reps run bare; one extra rep is counted.
+        assert sink_seen == [False, False, False, False, True]
+        assert result.counters["engine.exchanges_initiated"] > 0
+        assert len(result.per_rep_s) == 3
+
+    def test_failed_check_is_a_one_line_perf_error(self):
+        def body():
+            value = 2
+            assert value > 100, "too\nsmall"
+
+        b = Benchmark(name="checked", run=body)
+        with pytest.raises(PerfError) as info:
+            run_benchmark(b, reps=1, warmup=0)
+        message = str(info.value)
+        assert "'checked' failed a check at test_perf_harness.py:" in message
+        assert "assert value > 100" in message
+        assert "(too small" in message
+        assert len(message.splitlines()) == 1
+
+    def test_suite_entries_report_their_own_peak_rss(self):
+        def hold():
+            buffer = b"\x01" * (64 << 20)
+            return {"held_mib": len(buffer) >> 20}
+
+        big, small = run_suite_benchmarks(
+            [
+                Benchmark(name="big", run=hold),
+                Benchmark(name="small", run=lambda: None),
+            ],
+            reps=1,
+            warmup=0,
+        )
+        assert big.metrics == {"held_mib": 64.0}
+        assert big.peak_rss_kb - small.peak_rss_kb >= 32 * 1024
+
+    def test_crash_in_a_suite_entry_is_reported_not_hung(self):
+        def crashes():
+            return 1 // 0
+
+        with pytest.raises(PerfError, match="'bad' raised ZeroDivisionError"):
+            run_suite_benchmarks(
+                [Benchmark(name="bad", run=crashes)], reps=1, warmup=0
+            )
+        with pytest.raises(PerfError, match="'dies' died with exit code 3"):
+            run_suite_benchmarks(
+                [Benchmark(name="dies", run=lambda: os._exit(3))],
+                reps=1,
+                warmup=0,
+            )
 
     def test_run_suite_benchmarks_progress(self):
         seen = []
