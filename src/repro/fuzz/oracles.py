@@ -20,6 +20,13 @@ Execution is deterministic: the scenario's seed drives every stream
 through :func:`repro.sim.rng.rng_for`, fingerprints cover only integer
 simulator state, and the sink/injector installs are scoped so a crashed
 run never leaks global state into the next one.
+
+A caller that wants alerts live (``repro.serve`` streams them) passes
+``on_alert``: each monitor calls it the moment it emits an alert, so
+the live sequence is the emission order.  :meth:`MonitorSet.alerts`
+returns a stable sort of those same alerts by (epoch, cycle, monitor),
+and a stable sort keeps each monitor's emission order, so sorting the
+live sequence by that key gives ``Execution.alerts`` exactly.
 """
 
 from __future__ import annotations
@@ -215,18 +222,12 @@ def _config_for(scenario: Scenario) -> BlitzCoinConfig:
 
 
 # ----------------------------------------------------------------- execution
-#: Hook that receives the run's MonitorSet and returns the ObsSink to
-#: actually install — used by repro.serve to interpose a streaming sink
-#: (the wrapper must forward every call so monitors still observe).
-SinkWrapper = Callable[[MonitorSet], object]
-
-
 def execute_scenario(
     scenario: Scenario,
     *,
     observed: bool = True,
     inject: bool = True,
-    wrap_sink: Optional[SinkWrapper] = None,
+    on_alert: Optional[Callable[[Alert], None]] = None,
 ) -> Execution:
     """Run one scenario once; never raises for in-simulation failures.
 
@@ -234,32 +235,23 @@ def execute_scenario(
     baseline); ``inject=False`` skips installing a fault injector even
     when the plan is null (the null-plan ≡ no-injector check).  Oracle
     violations and crashes come back as :class:`Failure` records.
-    ``wrap_sink`` lets a caller interpose a delegating sink around the
-    observed run's MonitorSet (ignored when ``observed=False``).
+    ``on_alert`` receives each monitor alert as it is raised, including
+    those from the end-of-run flush (ignored when ``observed=False``).
     """
-    if scenario.kind == "engine":
-        return _execute_engine(
-            scenario, observed=observed, inject=inject, wrap_sink=wrap_sink
-        )
-    return _execute_soc(
-        scenario, observed=observed, inject=inject, wrap_sink=wrap_sink
-    )
-
-
-def _scoped_run(scenario, observed, inject, body, wrap_sink=None):
-    """Install sink/injector, call ``body(monitor_set)``, clean up."""
+    body = _engine_body if scenario.kind == "engine" else _soc_body
     monitor_set: Optional[MonitorSet] = None
     tap = CounterTap()
     if observed:
-        monitor_set = MonitorSet(monitors=monitors_for(scenario) + [tap])
-        sink = wrap_sink(monitor_set) if wrap_sink is not None else monitor_set
-        obs_install(sink)
+        monitor_set = MonitorSet(
+            monitors=monitors_for(scenario) + [tap], on_alert=on_alert
+        )
+        obs_install(monitor_set)
     plan = scenario.fault_plan if inject else None
     failures: List[Failure] = []
     fingerprint = ""
     try:
         with maybe_injecting(plan):
-            fingerprint = body()
+            fingerprint = body(scenario)
     except SanitizerError as exc:
         failures.append(
             Failure(
@@ -295,92 +287,76 @@ def _scoped_run(scenario, observed, inject, body, wrap_sink=None):
     )
 
 
-def _execute_engine(
-    scenario: Scenario,
-    *,
-    observed: bool,
-    inject: bool,
-    wrap_sink: Optional[SinkWrapper] = None,
-) -> Execution:
+def _engine_body(scenario: Scenario) -> str:
+    """Run an engine scenario; returns its fingerprint."""
     section = scenario.engine
     assert section is not None
-
-    def body() -> str:
-        topo = MeshTopology(section.dim, section.dim)
-        sim = Simulator()
-        noc = BehavioralNoc(sim, topo)
-        rng = rng_for(scenario.seed, section.dim)
-        initial = random_initial_allocation(
-            ScenarioSpec(max_by_tile=list(section.max_by_tile), pool=section.pool),
-            rng,
-        )
-        engine = CoinExchangeEngine(
-            sim,
-            noc,
-            _config_for(scenario),
-            list(section.max_by_tile),
-            initial,
-            rng=rng,
-        )
-        for cycle, thunk in _event_appliers(scenario, engine):
-            sim.schedule(cycle, thunk)
-        engine.start()
-        sim.run(until=scenario.max_cycles)
-        engine.check_conservation()
-        tracker = engine.tracker
-        return _fingerprint(
-            {
-                "now": sim.now,
-                "converged_at": tracker.converged_at,
-                "has": engine.snapshot_has(),
-                "max": engine.snapshot_max(),
-                "packets": engine.coin_packets,
-                "exchanges": engine.exchanges_started,
-                "timeouts": engine.exchanges_timed_out,
-                "lost": engine.coins_lost,
-                "reminted": engine.coins_reminted,
-                "discarded": noc.stats.discarded,
-            }
-        )
-
-    return _scoped_run(scenario, observed, inject, body, wrap_sink)
+    topo = MeshTopology(section.dim, section.dim)
+    sim = Simulator()
+    noc = BehavioralNoc(sim, topo)
+    rng = rng_for(scenario.seed, section.dim)
+    initial = random_initial_allocation(
+        ScenarioSpec(max_by_tile=list(section.max_by_tile), pool=section.pool),
+        rng,
+    )
+    engine = CoinExchangeEngine(
+        sim,
+        noc,
+        _config_for(scenario),
+        list(section.max_by_tile),
+        initial,
+        rng=rng,
+    )
+    for cycle, thunk in _event_appliers(scenario, engine):
+        sim.schedule(cycle, thunk)
+    engine.start()
+    sim.run(until=scenario.max_cycles)
+    engine.check_conservation()
+    tracker = engine.tracker
+    return _fingerprint(
+        {
+            "now": sim.now,
+            "converged_at": tracker.converged_at,
+            "has": engine.snapshot_has(),
+            "max": engine.snapshot_max(),
+            "packets": engine.coin_packets,
+            "exchanges": engine.exchanges_started,
+            "timeouts": engine.exchanges_timed_out,
+            "lost": engine.coins_lost,
+            "reminted": engine.coins_reminted,
+            "discarded": noc.stats.discarded,
+        }
+    )
 
 
-def _execute_soc(
-    scenario: Scenario,
-    *,
-    observed: bool,
-    inject: bool,
-    wrap_sink: Optional[SinkWrapper] = None,
-) -> Execution:
+def _soc_body(scenario: Scenario) -> str:
+    """Run a SoC scenario; returns its fingerprint.
+
+    The engine is built here, after the injector is installed, so
+    tile/coin fault events bind to this run's simulator.
+    """
     section = scenario.soc
     assert section is not None
-
-    def body() -> str:
-        soc = Soc(_SOC_BUILDERS[section.preset]())
-        pm = build_pm(PMKind.BLITZCOIN, soc, float(section.budget_mw))
-        executor = WorkloadExecutor(soc, section.to_taskgraph(), pm)
-        for cycle, thunk in _event_appliers(scenario, pm.engine):
-            soc.sim.schedule(cycle, thunk)
-        result = executor.run(max_cycles=scenario.max_cycles)
-        pm.engine.check_conservation()
-        return _fingerprint(
-            {
-                "makespan": result.makespan_cycles,
-                "finishes": sorted(result.task_finish_cycles.items()),
-                "starts": sorted(result.task_start_cycles.items()),
-                "has": pm.engine.snapshot_has(),
-                "packets": pm.engine.coin_packets,
-                "timeouts": pm.engine.exchanges_timed_out,
-                "lost": pm.engine.coins_lost,
-                "reminted": pm.engine.coins_reminted,
-                "responses": len(result.response_times_cycles),
-            }
-        )
-
-    # The engine is built inside body() (after injector install), so
-    # tile/coin fault events bind to this run's simulator.
-    return _scoped_run(scenario, observed, inject, body, wrap_sink)
+    soc = Soc(_SOC_BUILDERS[section.preset]())
+    pm = build_pm(PMKind.BLITZCOIN, soc, float(section.budget_mw))
+    executor = WorkloadExecutor(soc, section.to_taskgraph(), pm)
+    for cycle, thunk in _event_appliers(scenario, pm.engine):
+        soc.sim.schedule(cycle, thunk)
+    result = executor.run(max_cycles=scenario.max_cycles)
+    pm.engine.check_conservation()
+    return _fingerprint(
+        {
+            "makespan": result.makespan_cycles,
+            "finishes": sorted(result.task_finish_cycles.items()),
+            "starts": sorted(result.task_start_cycles.items()),
+            "has": pm.engine.snapshot_has(),
+            "packets": pm.engine.coin_packets,
+            "timeouts": pm.engine.exchanges_timed_out,
+            "lost": pm.engine.coins_lost,
+            "reminted": pm.engine.coins_reminted,
+            "responses": len(result.response_times_cycles),
+        }
+    )
 
 
 # ------------------------------------------------------------------- oracles

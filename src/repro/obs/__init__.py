@@ -1,6 +1,6 @@
 """repro.obs — zero-overhead-when-disabled observability.
 
-A metrics registry (counters, gauges, sim-time-bucketed histograms),
+A metrics registry (counters, gauges, histograms),
 structured span/event tracing keyed to simulation cycles, a kernel
 profiling hook, and exporters (Chrome ``trace_event`` JSON for
 Perfetto, JSONL, text summary).  All instrumentation in the simulator
@@ -48,7 +48,7 @@ from repro.obs.monitor import (
 )
 from repro.obs.profile import KernelProfile, callback_site
 from repro.obs.runtime import current, enabled, install, observing, uninstall
-from repro.obs.sink import NullSink, ObsError, ObsSink, Observation
+from repro.obs.sink import ObsError, ObsSink, Observation
 from repro.obs.spans import InstantEvent, Sample, Span, TraceBuffer
 
 __all__ = [
@@ -64,7 +64,6 @@ __all__ = [
     "MetricsRegistry",
     "Monitor",
     "MonitorSet",
-    "NullSink",
     "OscillationMonitor",
     "ReconcileBacklogMonitor",
     "StarvationMonitor",

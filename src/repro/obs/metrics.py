@@ -1,4 +1,4 @@
-"""Metrics registry: counters, gauges, and sim-time-bucketed histograms.
+"""Metrics registry: counters, gauges, and histograms.
 
 Every instrument is keyed by a name plus an optional set of string
 labels (``registry.counter("noc.packets", kind="coin_status")``), the
@@ -105,22 +105,17 @@ DEFAULT_BOUNDS: Tuple[int, ...] = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512,
 
 @dataclass
 class Histogram:
-    """A distribution of observed values, bucketed two ways.
+    """A distribution of observed values, bucketed by value.
 
-    * **value buckets** — ``bounds`` are inclusive upper edges; an
-      observation lands in the first bucket whose bound it does not
-      exceed (one overflow bucket past the last bound);
-    * **sim-time buckets** — when ``time_bucket_cycles`` > 0 the
-      histogram also counts observations per window of simulated time,
-      giving an event-rate-over-sim-time series for free.
+    ``bounds`` are inclusive upper edges; an observation lands in the
+    first bucket whose bound it does not exceed (one overflow bucket
+    past the last bound).
     """
 
     name: str
     labels: LabelKey = ()
     bounds: Tuple[Number, ...] = DEFAULT_BOUNDS
-    time_bucket_cycles: int = 0
     counts: List[int] = field(default_factory=list)
-    by_window: Dict[int, int] = field(default_factory=dict)
     count: int = 0
     total: float = 0.0
     min_value: Optional[float] = None
@@ -130,10 +125,6 @@ class Histogram:
         if not self.bounds or list(self.bounds) != sorted(self.bounds):
             raise MetricsError(
                 f"histogram {self.name!r} needs ascending, non-empty bounds"
-            )
-        if self.time_bucket_cycles < 0:
-            raise MetricsError(
-                f"histogram {self.name!r}: time bucket must be >= 0 cycles"
             )
         if not self.counts:
             self.counts = [0] * (len(self.bounds) + 1)
@@ -160,9 +151,6 @@ class Histogram:
         self.total += v
         self.min_value = v if self.min_value is None else min(self.min_value, v)
         self.max_value = v if self.max_value is None else max(self.max_value, v)
-        if self.time_bucket_cycles > 0:
-            window = time // self.time_bucket_cycles
-            self.by_window[window] = self.by_window.get(window, 0) + 1
 
     @property
     def mean(self) -> float:
@@ -225,14 +213,6 @@ class Histogram:
         rows.append((f"> {self.bounds[-1]}", self.counts[-1]))
         return rows
 
-    def window_rows(self) -> List[Tuple[int, int]]:
-        """(window start cycle, observation count), in time order."""
-        width = self.time_bucket_cycles
-        return [
-            (window * width, self.by_window[window])
-            for window in sorted(self.by_window)
-        ]
-
     @property
     def qualified_name(self) -> str:
         return self.name + _render_labels(self.labels)
@@ -244,10 +224,7 @@ Instrument = Union[Counter, Gauge, Histogram]
 class MetricsRegistry:
     """Named instruments, get-or-create, with type-clash protection."""
 
-    def __init__(self, *, time_bucket_cycles: int = 0) -> None:
-        if time_bucket_cycles < 0:
-            raise MetricsError("time_bucket_cycles must be >= 0")
-        self.time_bucket_cycles = time_bucket_cycles
+    def __init__(self) -> None:
         self._instruments: Dict[Tuple[str, LabelKey], Instrument] = {}
 
     # ----------------------------------------------------------- get/create
@@ -263,12 +240,7 @@ class MetricsRegistry:
                     f"{type(existing).__name__}, not {kind.__name__}"
                 )
             return existing
-        if kind is Histogram:
-            instrument: Instrument = Histogram(
-                name, key[1], time_bucket_cycles=self.time_bucket_cycles
-            )
-        else:
-            instrument = kind(name, key[1])
+        instrument: Instrument = kind(name, key[1])
         self._instruments[key] = instrument
         return instrument
 
@@ -295,12 +267,7 @@ class MetricsRegistry:
         key = (name, label_key(labels))
         existing = self._instruments.get(key)
         if existing is None and bounds is not None:
-            histogram = Histogram(
-                name,
-                key[1],
-                bounds=tuple(bounds),
-                time_bucket_cycles=self.time_bucket_cycles,
-            )
+            histogram = Histogram(name, key[1], bounds=tuple(bounds))
             self._instruments[key] = histogram
             return histogram
         instrument = self._get(Histogram, name, labels)

@@ -32,7 +32,7 @@ the simulator it watches.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.obs.sink import Observation, ObsSink
 
@@ -97,6 +97,9 @@ class Monitor:
     """
 
     name: str = "monitor"
+    #: Called with each alert right after :meth:`emit` records it, so a
+    #: live consumer sees alerts in emission order (set by MonitorSet).
+    on_alert: Optional[Callable[[Alert], None]] = None
 
     def __init__(self) -> None:
         self.alerts: List[Alert] = []
@@ -142,7 +145,8 @@ class Monitor:
         tile: Optional[int] = None,
         **data: object,
     ) -> Alert:
-        """Record one alert; returns it (for tests)."""
+        """Record one alert and publish it to :attr:`on_alert`; returns
+        it (for tests)."""
         alert = Alert(
             monitor=self.name,
             severity=severity,
@@ -153,6 +157,8 @@ class Monitor:
             data=dict(data),
         )
         self.alerts.append(alert)
+        if self.on_alert is not None:
+            self.on_alert(alert)
         return alert
 
 
@@ -545,16 +551,25 @@ class MonitorSet(ObsSink):
     hooks to every monitor.  Epoch marks flush and reset the monitors —
     each trial restarts simulation time at zero, so open conditions are
     closed against the previous trial's final cycle first.
+
+    ``on_alert`` is handed to every monitor, which calls it with each
+    alert as it is raised — during the run and from :meth:`finish` —
+    so a live consumer (``repro.serve`` streams them) sees every alert
+    exactly once, in emission order.
     """
 
     def __init__(
         self,
         monitors: Optional[List[Monitor]] = None,
         observation: Optional[Observation] = None,
+        on_alert: Optional[Callable[[Alert], None]] = None,
     ) -> None:
         self.monitors: List[Monitor] = list(
             monitors if monitors is not None else default_monitors()
         )
+        if on_alert is not None:
+            for monitor in self.monitors:
+                monitor.on_alert = on_alert
         self.observation = observation
         self.last_time = 0
 

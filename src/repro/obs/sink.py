@@ -19,7 +19,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import KernelProfile
 from repro.obs.spans import TraceBuffer
 
-__all__ = ["NullSink", "ObsError", "ObsSink", "Observation"]
+__all__ = ["ObsError", "ObsSink", "Observation"]
 
 Number = Union[int, float]
 
@@ -115,10 +115,6 @@ class ObsSink:
         """Count one executed kernel event (profiling hook)."""
 
 
-class NullSink(ObsSink):
-    """Explicitly-named no-op sink (identical to the base class)."""
-
-
 class Observation(ObsSink):
     """Collecting sink: metrics registry + trace buffer + kernel profile.
 
@@ -127,11 +123,9 @@ class Observation(ObsSink):
     in :mod:`repro.obs.export` afterwards.
     """
 
-    def __init__(
-        self, label: str = "run", *, time_bucket_cycles: int = 0
-    ) -> None:
+    def __init__(self, label: str = "run") -> None:
         self.label = label
-        self.registry = MetricsRegistry(time_bucket_cycles=time_bucket_cycles)
+        self.registry = MetricsRegistry()
         self.trace = TraceBuffer()
         self.profile = KernelProfile()
         self.meta: Dict[str, object] = {"label": label}

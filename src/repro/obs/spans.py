@@ -218,17 +218,5 @@ class TraceBuffer:
         return sample
 
     # -------------------------------------------------------------- readout
-    @property
-    def open_spans(self) -> List[Span]:
-        """Spans begun but never ended (insertion order)."""
-        return [s for s in self.spans if s.end is None]
-
-    def find(self, epoch: str, span_id: str) -> Optional[Span]:
-        """Most recent span with ``span_id`` in ``epoch`` (open or not)."""
-        for span in reversed(self.spans):
-            if span.epoch == epoch and span.span_id == span_id:
-                return span
-        return None
-
     def __len__(self) -> int:
         return len(self.spans) + len(self.events) + len(self.samples)

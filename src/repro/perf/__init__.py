@@ -39,7 +39,6 @@ from repro.perf.phase import (
     classify_site,
     phase_chrome_trace,
     phase_summary_lines,
-    profiling,
 )
 from repro.perf.registry import (
     REGISTRY,
@@ -73,7 +72,6 @@ __all__ = [
     "peak_rss_kb",
     "phase_chrome_trace",
     "phase_summary_lines",
-    "profiling",
     "register",
     "run_benchmark",
     "run_suite_benchmarks",

@@ -14,16 +14,16 @@ Attribution model (all wall seconds):
   callback plus the kernel's heap dispatch for it; it is credited to
   the callback's subsystem (dispatch rides along — it is proportional
   to event count, which is exactly what the per-phase split shows);
-* time spent inside delegated sink calls (metrics, tracing, monitors)
-  is subtracted from the enclosing callback and credited to ``obs``,
-  so instrumentation overhead is visible instead of smeared;
 * everything outside the event loop — setup, result aggregation,
-  report building — lands in ``harness`` when :meth:`finish` runs.
+  report building, the gap between epochs — lands in ``harness``.
 
 The phase totals therefore sum *exactly* to the measured wall window
-(``total_s``), per epoch and overall.  Like every sink, the profiler
-observes and never schedules: an enabled run is bit-identical to a
-disabled one (``tests/test_perf_phase.py`` proves it).
+(``total_s``), per epoch and overall.  The profiler is the installed
+sink and forwards nothing: every other sink hook is the base no-op, so
+a profiled window carries no metrics, tracing or monitor work.  Like
+every sink, it observes and never schedules: an enabled run is
+bit-identical to a disabled one (``tests/test_perf_phase.py`` proves
+it).
 """
 # The profiler's whole job is reading the wall clock; the D1 wall-time
 # ban protects simulation results, which a sink cannot influence.
@@ -32,7 +32,7 @@ disabled one (``tests/test_perf_phase.py`` proves it).
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.obs.export import metadata_event, trace_document
 from repro.obs.profile import callback_site
@@ -45,10 +45,7 @@ __all__ = [
     "classify_site",
     "phase_chrome_trace",
     "phase_summary_lines",
-    "profiling",
 ]
-
-Number = Union[int, float]
 
 #: Module-prefix -> phase table, most specific prefix first.  The
 #: classifier matches the callback's defining module, which works
@@ -65,11 +62,11 @@ _PHASE_PREFIXES: Tuple[Tuple[str, str], ...] = (
     ("repro.sim", "kernel"),
 )
 
-#: Every phase the profiler can report, in display order.  ``obs`` is
-#: delegated-sink overhead; ``harness`` is wall time outside the event
-#: loop; ``other`` is any callback from an unrecognized module.
+#: Every phase the profiler can report, in display order.  ``harness``
+#: is wall time outside the event loop; ``other`` is any callback from
+#: an unrecognized module.
 PHASES: Tuple[str, ...] = tuple(
-    [phase for _, phase in _PHASE_PREFIXES] + ["other", "obs", "harness"]
+    [phase for _, phase in _PHASE_PREFIXES] + ["other", "harness"]
 )
 
 
@@ -85,16 +82,15 @@ def classify_site(site: str) -> str:
 class PhaseProfiler(ObsSink):
     """Wall-time-per-subsystem collecting sink.
 
-    Optionally wraps an ``inner`` sink (an :class:`Observation` or a
-    :class:`MonitorSet`); every delegated call is timed and credited
-    to the ``obs`` phase, so the profiler can answer "what do the
-    monitors cost" in the same breakdown as "what does the engine
-    cost".  As a context manager it opens its wall window and installs
-    itself as the sink for the ``with`` body (see :func:`profiling`).
+    As a context manager it opens its wall window and installs itself
+    as the sink for the ``with`` body::
+
+        with PhaseProfiler() as prof:
+            ...  # run the simulation here
+        print("\n".join(phase_summary_lines(prof)))
     """
 
-    def __init__(self, inner: Optional[ObsSink] = None) -> None:
-        self.inner = inner
+    def __init__(self) -> None:
         #: phase -> wall seconds, whole run.
         self.totals: Dict[str, float] = {}
         #: epoch label -> phase -> wall seconds.
@@ -105,7 +101,6 @@ class PhaseProfiler(ObsSink):
         self.total_s: float = 0.0
         self._epoch = ""
         self._mark: Optional[float] = None
-        self._obs_pending = 0.0
         self._t0: Optional[float] = None
 
     # ------------------------------------------------------------ lifecycle
@@ -130,7 +125,6 @@ class PhaseProfiler(ObsSink):
             return
         now = time.perf_counter()
         self._flush_gap(now, "harness")
-        self._mark = now
         self.total_s = now - self._t0
 
     # ---------------------------------------------------------- attribution
@@ -142,14 +136,11 @@ class PhaseProfiler(ObsSink):
         per[phase] = per.get(phase, 0.0) + seconds
 
     def _flush_gap(self, now: float, phase: str) -> None:
-        """Credit the time since the last mark to ``phase`` (minus any
-        pending obs overhead, which goes to ``obs``)."""
-        if self._mark is None:
-            return
-        gap = now - self._mark - self._obs_pending
-        self._add(phase, gap)
-        self._add("obs", self._obs_pending)
-        self._obs_pending = 0.0
+        """Credit the time since the last mark to ``phase``; move the
+        mark to ``now``."""
+        if self._mark is not None:
+            self._add(phase, now - self._mark)
+        self._mark = now
 
     def attributed_s(self) -> float:
         """Sum of all phase totals (== ``total_s`` after finish)."""
@@ -171,73 +162,14 @@ class PhaseProfiler(ObsSink):
             self._t0 = now
             self._mark = now
         self._flush_gap(now, classify_site(callback_site(callback)))
-        self._mark = now
         self.events += 1
-        # The delegated hook is obs overhead like any other sink call;
-        # _obs_pending carries it into the next gap's subtraction.
-        self._delegate("kernel_event", time_, callback)
 
     def epoch(self, label: str) -> None:
-        now = time.perf_counter()
         # Inter-epoch time (trial teardown/setup) is harness work.
-        self._flush_gap(now, "harness")
-        self._mark = now
+        self._flush_gap(time.perf_counter(), "harness")
         self._epoch = label
         if label not in self.epochs:
             self.epochs.append(label)
-        self._delegate("epoch", label)
-
-    # Delegated observation calls: timed, credited to the obs phase.
-    def _delegate(self, method: str, *args: object, **kwargs: object) -> None:
-        if self.inner is None:
-            return
-        t0 = time.perf_counter()
-        getattr(self.inner, method)(*args, **kwargs)
-        self._obs_pending += time.perf_counter() - t0
-
-    def inc(self, name: str, time_: int, n: int = 1, **labels: object) -> None:
-        self._delegate("inc", name, time_, n, **labels)
-
-    def set_gauge(
-        self, name: str, time_: int, value: Number, **labels: object
-    ) -> None:
-        self._delegate("set_gauge", name, time_, value, **labels)
-
-    def observe(
-        self, name: str, time_: int, value: Number, **labels: object
-    ) -> None:
-        self._delegate("observe", name, time_, value, **labels)
-
-    def begin_span(self, span_id: str, name: str, time_: int, **kw: object) -> None:
-        self._delegate("begin_span", span_id, name, time_, **kw)
-
-    def end_span(self, span_id: str, time_: int, **kw: object) -> None:
-        self._delegate("end_span", span_id, time_, **kw)
-
-    def complete_span(
-        self, span_id: str, name: str, begin: int, end: int, **kw: object
-    ) -> None:
-        self._delegate("complete_span", span_id, name, begin, end, **kw)
-
-    def event(self, name: str, time_: int, **kw: object) -> None:
-        self._delegate("event", name, time_, **kw)
-
-    def sample(
-        self, name: str, time_: int, value: Number, **kw: object
-    ) -> None:
-        self._delegate("sample", name, time_, value, **kw)
-
-
-def profiling(inner: Optional[ObsSink] = None) -> PhaseProfiler:
-    """A :class:`PhaseProfiler` to install for a ``with`` body.
-
-    >>> from repro.perf.phase import profiling
-    >>> with profiling() as prof:
-    ...     pass  # run the simulation here
-    >>> prof.events
-    0
-    """
-    return PhaseProfiler(inner)
 
 
 # ------------------------------------------------------------------ readouts

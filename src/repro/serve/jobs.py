@@ -14,15 +14,16 @@ Dedupe contract (docs/SERVICE.md):
 
 Execution runs on **N parallel lanes** (``lanes=1`` by default): N
 asyncio lane tasks pull from one shared priority heap and hand jobs to
-a thread pool of the same width.  Each lane thread scopes its own
-``StreamingSink``/MonitorSet through the context-local observability
-runtime (``repro.obs.runtime`` resolves ``sink`` per thread), so
-concurrent jobs stream independently without cross-talk — the
-per-process single-sink limit that used to force ``max_workers=1`` is
-gone.  Dedupe and the warm cache still do the heavy lifting for
-identical traffic; lanes add overlap for *distinct* jobs (blocking
-store I/O, and real CPU parallelism when campaign specs fan units out
-to worker processes).
+a thread pool of the same width.  Each lane thread scopes its own sink
+through the context-local observability runtime (``repro.obs.runtime``
+resolves ``sink`` per thread): a campaign job installs a
+``StreamingSink``, a scenario job its ``MonitorSet``, whose monitors
+publish each alert frame as they emit it.  Concurrent jobs therefore
+stream independently without cross-talk — the per-process single-sink
+limit that used to force ``max_workers=1`` is gone.  Dedupe and the
+warm cache still do the heavy lifting for identical traffic; lanes add
+overlap for *distinct* jobs (blocking store I/O, and real CPU
+parallelism when campaign specs fan units out to worker processes).
 
 Cancellation only targets *queued* jobs (lazy removal from the heap);
 a running simulation is never interrupted mid-flight, so the
@@ -46,6 +47,7 @@ from repro.campaign.store import CampaignStore
 from repro.core.io import atomic_write_text
 from repro.fuzz.oracles import Execution, execute_scenario
 from repro.fuzz.scenario import Scenario
+from repro.obs.monitor import Alert
 from repro.obs.runtime import install as obs_install
 from repro.obs.runtime import uninstall as obs_uninstall
 from repro.report.run_report import scenario_report, write_run_report
@@ -534,20 +536,12 @@ class JobQueue:
         scenario = job.submission.scenario
         assert scenario is not None
         publish = job.log.publish_threadsafe
-        streamers: List[StreamingSink] = []
 
-        def wrap(monitor_set: Any) -> StreamingSink:
-            streamer = StreamingSink(publish, inner=monitor_set)
-            streamers.append(streamer)
-            return streamer
+        def on_alert(alert: Alert) -> None:
+            publish({"type": "alert", "alert": alert.to_dict()})
 
-        execution = execute_scenario(scenario, wrap_sink=wrap)
-        # MonitorSet.finish() ran after uninstall; flush its alerts into
-        # the stream so streamed ≡ stored holds for end-of-run alerts.
-        for streamer in streamers:
-            streamer.flush_alerts()
+        execution = execute_scenario(scenario, on_alert=on_alert)
         doc = self.scenarios.save(scenario, execution)
         result = self._scenario_result(job.submission, doc)
-        if streamers:
-            result["counters"] = dict(streamers[0].totals)
+        result["counters"] = dict(execution.counters)
         return result

@@ -1,23 +1,22 @@
-"""Live job streaming: a delegating ObsSink plus a broadcast frame log.
+"""Live job streaming: campaign counter frames plus a broadcast frame log.
 
-``StreamingSink`` rides the existing fast-flag sink path: it forwards
-every instrumentation call to an optional inner sink (normally the
-run's :class:`~repro.obs.monitor.MonitorSet`) and, after each forwarded
-call, publishes any *newly collected* monitor alerts as frames.  It
-observes and never schedules, so the obs-on ≡ obs-off bit-identity the
-repo asserts everywhere still holds under streaming.
+Alert frames do not pass through here: a scenario job hands
+``execute_scenario`` an ``on_alert`` callback, and each monitor calls
+it the moment it emits an alert, so alert frames are published in
+emission order.  The canonical report order is a *stable* sort by
+``(epoch, cycle, monitor)`` — the same key :meth:`MonitorSet.alerts`
+uses — and stable sorting preserves each monitor's emission order, so
+sorting the streamed alerts by that key reproduces the frozen
+RunReport's alert list byte-for-byte.  That is the streamed ≡ stored
+contract docs/SERVICE.md documents and CI diffs.
 
-Alert frames are published in emission order.  The canonical report
-order is a *stable* sort by ``(epoch, cycle, monitor)`` — the same key
-:meth:`MonitorSet.alerts` uses — and stable sorting preserves each
-monitor's emission order, so sorting the streamed alerts by that key
-reproduces the frozen RunReport's alert list byte-for-byte.  That is
-the streamed ≡ stored contract docs/SERVICE.md documents and CI diffs.
-
-Counters are throttled by prefix: only whitelisted families (default
-``campaign.*`` — a few frames per unit) stream live, everything else
-accumulates into ``totals`` for the final ``done`` frame, so a
-100k-cycle engine run doesn't emit 100k frames.
+``StreamingSink`` is the sink a campaign job installs.  It forwards
+nothing: only the ``campaign.*`` counter and gauge family (a few
+frames per unit) streams live, and every other counter accumulates
+into ``totals`` for the final ``done`` frame, so a 100k-cycle engine
+run doesn't emit 100k frames.  It observes and never schedules, so the
+obs-on ≡ obs-off bit-identity the repo asserts everywhere still holds
+under streaming.
 
 ``JobLog`` is the asyncio side: a per-job frame history plus subscriber
 queues, mutated only on the event loop (worker threads go through
@@ -28,138 +27,41 @@ history and a finished job's stream is complete and immutable.
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
-from repro.obs.monitor import MonitorSet
 from repro.obs.sink import Number, ObsSink
 
 __all__ = ["JobLog", "StreamingSink"]
 
-#: Counter/gauge families streamed live; everything else only totals.
-DEFAULT_STREAM_PREFIXES: Tuple[str, ...] = ("campaign.",)
+#: The counter/gauge family streamed live; everything else only totals.
+STREAMED_PREFIX = "campaign."
 
 PublishFn = Callable[[Dict[str, Any]], None]
 
 
 class StreamingSink(ObsSink):
-    """Forward to ``inner`` and publish alert/counter frames.
+    """Publish ``campaign.*`` counter/gauge frames; total every counter."""
 
-    The wrapper must forward *every* sink method so the inner
-    MonitorSet observes exactly what it would have seen installed bare;
-    the offline report built from those monitors is then the ground
-    truth the stream is checked against.
-    """
-
-    def __init__(
-        self,
-        publish: PublishFn,
-        *,
-        inner: Optional[MonitorSet] = None,
-        stream_prefixes: Tuple[str, ...] = DEFAULT_STREAM_PREFIXES,
-    ) -> None:
+    def __init__(self, publish: PublishFn) -> None:
         self._publish = publish
-        self.inner = inner
-        self._prefixes = tuple(stream_prefixes)
         #: Final totals for every counter seen, streamed or not.
         self.totals: Dict[str, int] = {}
-        #: Alerts published so far, in emission order.
-        self.streamed_alerts: List[Dict[str, Any]] = []
-        self._seen = [0] * len(inner.monitors) if inner is not None else []
-
-    # ------------------------------------------------------------- streaming
-    def _streamed(self, name: str) -> bool:
-        return name.startswith(self._prefixes)
-
-    def _drain_alerts(self) -> None:
-        if self.inner is None:
-            return
-        for i, monitor in enumerate(self.inner.monitors):
-            fresh = monitor.alerts[self._seen[i] :]
-            if not fresh:
-                continue
-            self._seen[i] = len(monitor.alerts)
-            for alert in fresh:
-                record = alert.to_dict()
-                self.streamed_alerts.append(record)
-                self._publish({"type": "alert", "alert": record})
-
-    def flush_alerts(self) -> None:
-        """Publish alerts raised by ``MonitorSet.finish()``.
-
-        The run scope calls ``finish()`` *after* the sink is
-        uninstalled, so end-of-run flush alerts (open stalls, final
-        window checks) arrive outside any forwarded call; the job
-        runner calls this once afterwards to complete the stream.
-        """
-        self._drain_alerts()
-
-    # ------------------------------------------------------------------ sink
-    def epoch(self, label: str) -> None:
-        if self.inner is not None:
-            self.inner.epoch(label)
-        self._publish({"type": "epoch", "label": label})
-        self._drain_alerts()
 
     def inc(self, name: str, time: int, n: int = 1, **labels: object) -> None:
-        if self.inner is not None:
-            self.inner.inc(name, time, n, **labels)
-        self.totals[name] = self.totals.get(name, 0) + n
-        if self._streamed(name):
+        total = self.totals.get(name, 0) + n
+        self.totals[name] = total
+        if name.startswith(STREAMED_PREFIX):
             self._publish(
-                {
-                    "type": "counter",
-                    "name": name,
-                    "time": time,
-                    "total": self.totals[name],
-                }
+                {"type": "counter", "name": name, "time": time, "total": total}
             )
-        self._drain_alerts()
 
     def set_gauge(
         self, name: str, time: int, value: Number, **labels: object
     ) -> None:
-        if self.inner is not None:
-            self.inner.set_gauge(name, time, value, **labels)
-        if self._streamed(name):
+        if name.startswith(STREAMED_PREFIX):
             self._publish(
                 {"type": "gauge", "name": name, "time": time, "value": value}
             )
-        self._drain_alerts()
-
-    def observe(
-        self, name: str, time: int, value: Number, **labels: object
-    ) -> None:
-        if self.inner is not None:
-            self.inner.observe(name, time, value, **labels)
-        self._drain_alerts()
-
-    # --------------------------------------------------------------- tracing
-    def begin_span(self, span_id, name, time, **kwargs) -> None:  # type: ignore[no-untyped-def]
-        if self.inner is not None:
-            self.inner.begin_span(span_id, name, time, **kwargs)
-
-    def end_span(self, span_id, time, **kwargs) -> None:  # type: ignore[no-untyped-def]
-        if self.inner is not None:
-            self.inner.end_span(span_id, time, **kwargs)
-
-    def complete_span(self, span_id, name, begin, end, **kwargs) -> None:  # type: ignore[no-untyped-def]
-        if self.inner is not None:
-            self.inner.complete_span(span_id, name, begin, end, **kwargs)
-
-    def event(self, name, time, **kwargs) -> None:  # type: ignore[no-untyped-def]
-        if self.inner is not None:
-            self.inner.event(name, time, **kwargs)
-        self._drain_alerts()
-
-    def sample(self, name, time, value, **kwargs) -> None:  # type: ignore[no-untyped-def]
-        if self.inner is not None:
-            self.inner.sample(name, time, value, **kwargs)
-        self._drain_alerts()
-
-    # -------------------------------------------------------------- profiling
-    def kernel_event(self, time: int, callback: Callable[[], None]) -> None:
-        if self.inner is not None:
-            self.inner.kernel_event(time, callback)
 
 
 class JobLog:

@@ -1,6 +1,6 @@
 """Service-level telemetry: fleet metrics, /metrics text, access log.
 
-The serve layer's per-run observability (StreamingSink → RunReport)
+The serve layer's per-run observability (stream frames, RunReport)
 answers "what happened inside one simulation"; this module answers
 "what is the *service* doing" — request rates and latency, queue
 depth, lane utilization, dedupe effectiveness, alert rates — the

@@ -73,15 +73,6 @@ class TestHistogram:
         assert h.mean == 3.0
         assert Histogram("empty").mean == 0.0
 
-    def test_sim_time_windows(self):
-        h = Histogram("lat", time_bucket_cycles=100)
-        h.observe(10, 1)
-        h.observe(99, 1)
-        h.observe(100, 1)
-        h.observe(250, 1)
-        assert h.by_window == {0: 2, 1: 1, 2: 1}
-        assert h.window_rows() == [(0, 2), (100, 1), (200, 1)]
-
     def test_unsorted_bounds_rejected(self):
         with pytest.raises(MetricsError):
             Histogram("bad", bounds=(4, 2))
@@ -219,12 +210,6 @@ class TestMetricsRegistry:
         r.observe("h", 0, 3)
         kinds = {row["kind"] for row in r.as_rows()}
         assert kinds == {"counter", "gauge", "histogram"}
-
-    def test_registry_time_bucket_propagates(self):
-        r = MetricsRegistry(time_bucket_cycles=50)
-        r.observe("h", 120, 1)
-        h = r.get("h")
-        assert h.by_window == {2: 1}
 
     def test_len(self):
         r = MetricsRegistry()

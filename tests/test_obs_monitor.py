@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from repro.core.config import preferred_embodiment
 from repro.core.runner import run_convergence_trial
 from repro.faults.plan import FaultPlan, LinkFaultRates
+from repro.fuzz.oracles import execute_scenario
 from repro.obs import observing
 from repro.obs.monitor import (
     Alert,
@@ -33,9 +34,11 @@ from repro.obs.monitor import (
     default_monitors,
     final_coin_levels,
 )
+from repro.obs.runtime import current
 from repro.obs.sink import Observation
 from tests.conftest import build_engine_rig
 from tests.test_golden_traces import CASES, GOLDEN_DIR
+from tests.test_serve import alerting_scenario
 
 
 # --------------------------------------------------------------------- alerts
@@ -263,6 +266,57 @@ class TestMonitorSet:
         monitors.event("apply", 8, cat="engine", track=1,
                        args={"delta": 1, "has": 6})
         assert final_coin_levels(session) == {0: 3, 1: 6}
+
+
+class TestOnAlert:
+    """``MonitorSet(on_alert=...)`` publishes each alert as it is raised."""
+
+    @staticmethod
+    def _run(published):
+        stall = ConvergenceStallMonitor(stall_cycles=100)
+        backlog = ReconcileBacklogMonitor(max_backlog=4)
+        monitors = MonitorSet([stall, backlog], on_alert=published.append)
+        monitors.event("apply", 10, cat="engine", track=0,
+                       args={"delta": 1, "has": 1})
+        monitors.event("apply", 500, cat="engine", track=0,
+                       args={"delta": 1, "has": 2})  # stall gap @10
+        monitors.inc("engine.coins_lost", 600, 6)  # backlog @600
+        monitors.inc("engine.coins_lost", 900, 1)  # still over: silent
+        return monitors, stall, backlog
+
+    def test_each_alert_published_once_in_emission_order(self):
+        published = []
+        monitors, stall, backlog = self._run(published)
+        assert published == [stall.alerts[0], backlog.alerts[0]]
+        monitors.finish()  # trailing stall gap, stamped @500
+        assert published == [stall.alerts[0], backlog.alerts[0],
+                             stall.alerts[1]]
+        assert [a.cycle for a in published] == [10, 600, 500]
+        # The stored order is the stable sort of the emission order.
+        assert sorted(
+            published, key=lambda a: (a.epoch, a.cycle, a.monitor)
+        ) == monitors.alerts()
+
+    def test_second_finish_publishes_nothing(self):
+        published = []
+        monitors, _, _ = self._run(published)
+        monitors.finish()
+        assert len(published) == 3
+        monitors.finish()
+        assert len(published) == 3
+
+    def test_scenario_alerts_published_during_run_and_at_finish(self):
+        # The MonitorSet is installed while the run executes and is
+        # uninstalled before finish() flushes the monitors.
+        during_run = []
+        execution = execute_scenario(
+            alerting_scenario(7),
+            on_alert=lambda alert: during_run.append(current() is not None),
+        )
+        assert during_run.count(True) == 215
+        assert during_run.count(False) == 1
+        assert during_run[-1] is False
+        assert len(execution.alerts) == 216
 
 
 # ------------------------------------------------------------- identity tests

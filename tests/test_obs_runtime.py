@@ -3,8 +3,8 @@
 import pytest
 
 from repro.obs import (
-    NullSink,
     ObsError,
+    ObsSink,
     Observation,
     install,
     runtime,
@@ -21,17 +21,17 @@ class TestInstall:
         assert not enabled()
 
     def test_install_uninstall_round_trip(self):
-        sink = NullSink()
+        sink = ObsSink()
         assert install(sink) is sink
         assert enabled()
         assert uninstall() is sink
         assert not enabled()
 
     def test_double_install_rejected(self):
-        install(NullSink())
+        install(ObsSink())
         try:
             with pytest.raises(ObsError):
-                install(NullSink())
+                install(ObsSink())
         finally:
             uninstall()
 

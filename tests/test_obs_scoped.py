@@ -33,7 +33,7 @@ from hypothesis import strategies as st
 
 from repro.faults import FaultInjector, FaultPlan, FaultPlanError
 from repro.faults import runtime as faults_runtime
-from repro.obs import NullSink, ObsError, Observation, runtime
+from repro.obs import ObsError, ObsSink, Observation, runtime
 from repro.obs.monitor import Monitor, MonitorSet
 from repro.obs.runtime import current, enabled, install, observing, uninstall
 from tests.conftest import build_engine_rig
@@ -104,7 +104,7 @@ class TestThreadIsolation:
         release = threading.Event()
 
         def worker():
-            install(NullSink())
+            install(ObsSink())
             installed.set()
             release.wait(5)
             uninstall()
@@ -125,7 +125,7 @@ class TestThreadIsolation:
         # poisons the next job on that thread.  This is the documented
         # reason uninstall-in-finally is load-bearing.
         with ThreadPoolExecutor(max_workers=1) as pool:
-            leaked = NullSink()
+            leaked = ObsSink()
             pool.submit(install, leaked).result()
             assert pool.submit(current).result() is leaked  # persisted!
             assert pool.submit(uninstall).result() is leaked
@@ -238,7 +238,7 @@ class TestObservingNesting:
     def test_nested_install_raises_and_preserves_outer(self):
         with observing() as outer:
             with pytest.raises(ObsError):
-                install(NullSink())
+                install(ObsSink())
             assert runtime.sink is outer
         assert runtime.sink is None
 
@@ -247,7 +247,7 @@ class TestObservingNesting:
         # block's finally still leaves the context clean.
         with observing():
             uninstall()
-            replacement = install(NullSink())
+            replacement = install(ObsSink())
             assert runtime.sink is replacement
         assert runtime.sink is None
 
@@ -264,7 +264,7 @@ class TestObservingNesting:
 @pytest.mark.parametrize(
     "module, attr, make_value, nested_error, force_contextvar",
     [
-        (runtime, "sink", NullSink, ObsError, runtime._contextvar_only),
+        (runtime, "sink", ObsSink, ObsError, runtime._contextvar_only),
         (
             faults_runtime,
             "injector",
@@ -330,7 +330,7 @@ def test_fast_path_attribute_tracks_installs(
 @pytest.mark.parametrize(
     "module, attr, make_value",
     [
-        (runtime, "sink", NullSink),
+        (runtime, "sink", ObsSink),
         (faults_runtime, "injector", lambda: FaultInjector(FaultPlan())),
     ],
     ids=["obs", "faults"],

@@ -25,7 +25,7 @@ class TestTraceBuffer:
         span = buf.end_span("x:1", 50, args={"outcome": "moved"})
         assert span.duration == 40
         assert span.args == {"outcome": "moved"}
-        assert not buf.open_spans
+        assert [s.end for s in buf.spans] == [50]
 
     def test_end_unknown_span_is_noop(self):
         buf = TraceBuffer()
@@ -41,8 +41,10 @@ class TestTraceBuffer:
         buf.end_span("x:1", 8)
         durations = [s.duration for s in buf.spans]
         assert durations == [10, 3]
-        assert buf.find("trial0", "x:1").end == 20
-        assert buf.find("trial1", "x:1").end == 8
+        assert [(s.epoch, s.span_id, s.end) for s in buf.spans] == [
+            ("trial0", "x:1", 20),
+            ("trial1", "x:1", 8),
+        ]
 
     def test_max_time_tracks_every_record(self):
         buf = TraceBuffer()

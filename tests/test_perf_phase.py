@@ -8,14 +8,12 @@ import pytest
 from repro.core.config import preferred_embodiment
 from repro.core.runner import run_trials
 from repro.obs.export import validate_chrome_trace, write_trace
-from repro.obs.sink import Observation
 from repro.perf.phase import (
     PHASES,
     PhaseProfiler,
     classify_site,
     phase_chrome_trace,
     phase_summary_lines,
-    profiling,
 )
 
 
@@ -49,7 +47,7 @@ class TestClassify:
 
 class TestAttribution:
     def test_phases_sum_exactly_to_total(self):
-        with profiling() as prof:
+        with PhaseProfiler() as prof:
             _workload()
         # The residual "harness" phase makes the partition exact; the
         # acceptance bar is 5% but the construction gives ~0.
@@ -58,33 +56,16 @@ class TestAttribution:
         assert prof.attributed_s() == pytest.approx(prof.total_s, rel=0.05)
 
     def test_simulation_phases_dominate(self):
-        with profiling() as prof:
+        with PhaseProfiler() as prof:
             _workload()
         sim = prof.totals.get("engine", 0.0) + prof.totals.get("noc", 0.0)
         assert sim > 0.5 * prof.total_s
 
     def test_enabled_run_is_bit_identical_to_disabled(self):
         baseline = [dataclasses.asdict(r) for r in _workload()]
-        with profiling():
+        with PhaseProfiler():
             profiled = [dataclasses.asdict(r) for r in _workload()]
         assert profiled == baseline
-
-    def test_inner_sink_still_observes_and_costs_obs_phase(self):
-        session = Observation("phase-test")
-        with profiling(session) as prof:
-            _workload()
-        # The inner sink saw the run: engine counters are populated.
-        total = session.registry.value("engine.exchanges_initiated")
-        assert total > 0
-        # ...and its cost was attributed, not smeared into subsystems.
-        assert prof.totals.get("obs", 0.0) > 0.0
-        assert prof.attributed_s() == pytest.approx(prof.total_s, rel=0.05)
-
-    def test_inner_sink_results_identical_too(self):
-        baseline = [dataclasses.asdict(r) for r in _workload()]
-        with profiling(Observation("phase-test")):
-            wrapped = [dataclasses.asdict(r) for r in _workload()]
-        assert wrapped == baseline
 
     def test_epoch_switches_attribution_bucket(self):
         prof = PhaseProfiler()
@@ -95,7 +76,7 @@ class TestAttribution:
         assert prof.epochs[0] == ""
 
     def test_shares_sum_to_one(self):
-        with profiling() as prof:
+        with PhaseProfiler() as prof:
             _workload()
         assert sum(prof.shares().values()) == pytest.approx(1.0, abs=1e-9)
 
@@ -108,7 +89,7 @@ class TestAttribution:
 
 class TestReadouts:
     def test_summary_lines_mention_phases(self):
-        with profiling() as prof:
+        with PhaseProfiler() as prof:
             _workload()
         text = "\n".join(phase_summary_lines(prof))
         assert "events" in text
@@ -120,7 +101,7 @@ class TestReadouts:
         assert any("no phases" in line for line in lines)
 
     def test_chrome_trace_is_valid_and_loadable(self, tmp_path):
-        with profiling() as prof:
+        with PhaseProfiler() as prof:
             _workload()
         doc = phase_chrome_trace(prof)
         assert validate_chrome_trace(doc) == []
@@ -131,3 +112,8 @@ class TestReadouts:
         assert spans
         assert all(e["dur"] >= 1 for e in spans)
         assert doc["otherData"]["time_unit"] == "wall-us"
+        # The phases partition the profiled window, with no obs row.
+        assert {e["name"] for e in spans} <= set(PHASES)
+        assert sum(e["args"]["seconds"] for e in spans) == pytest.approx(
+            doc["otherData"]["total_s"], rel=0.01
+        )

@@ -277,6 +277,32 @@ class TestStreaming:
         assert done["type"] == "done"
         assert done["result"]["fingerprint"] == report.summary["fingerprint"]
 
+    def test_scenario_done_counters_equal_stored(self, tmp_path):
+        """A scenario job's done frame totals the stored counters."""
+        store_root = tmp_path / "store"
+        scenario = alerting_scenario()
+
+        async def body(server, host, port):
+            async with ServeClient(host, port) as client:
+                response = await client.submit(
+                    {"kind": "scenario", "scenario": scenario.to_dict()}
+                )
+                return await client.stream_job(response["job"])
+
+        frames = run_with_server(store_root, body)
+        done = frames[-1]
+        assert done["type"] == "done"
+        stored = json.loads(
+            (
+                store_root
+                / "scenarios"
+                / scenario.scenario_hash[:16]
+                / "result.json"
+            ).read_text()
+        )
+        assert stored["counters"]
+        assert done["result"]["counters"] == stored["counters"]
+
     def test_campaign_stream_has_progress_and_counters(self, tmp_path):
         async def body(server, host, port):
             async with ServeClient(host, port) as client:
