@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import statistics
 import sys
 from contextlib import nullcontext
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.analysis.__main__ import add_lint_arguments, run_lint
 from repro.campaign import (
@@ -49,7 +50,6 @@ from repro.faults import (
     load_fault_plan,
 )
 from repro.fuzz.cli import add_fuzz_parser
-from repro.serve.cli import add_serve_parser
 from repro.obs import (
     Observation,
     observing,
@@ -59,7 +59,15 @@ from repro.obs import (
     write_summary,
 )
 from repro.obs.export import write_trace
-from repro.soc import PMKind, Soc, WorkloadExecutor, build_pm
+from repro.serve.cli import add_serve_parser
+from repro.soc import (
+    ExecutorError,
+    PMKind,
+    Soc,
+    SocRunResult,
+    WorkloadExecutor,
+    build_pm,
+)
 from repro.soc.presets import soc_3x3, soc_4x4, soc_6x6_chip
 from repro.workloads import (
     autonomous_vehicle_dependent,
@@ -94,6 +102,38 @@ VARIANTS: Dict[str, Callable] = {
 
 #: Default budget per SoC: the paper's 30%-of-combined-maximum points.
 DEFAULT_BUDGETS = {"3x3": 120.0, "4x4": 450.0, "6x6": 180.0}
+
+
+def _budget_arg(text: str) -> float:
+    """argparse type of ``--budget``: a positive, finite number of mW."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a positive, finite number of mW, got {text!r}"
+        )
+    return value
+
+
+def _budget_mw(args: argparse.Namespace) -> float:
+    """``--budget``, or the SoC's default budget when it is not given."""
+    return DEFAULT_BUDGETS[args.soc] if args.budget is None else args.budget
+
+
+def _run_soc(
+    args: argparse.Namespace, budget_mw: float
+) -> Tuple[Soc, SocRunResult]:
+    """``(soc, result)``: ``--workload`` on ``--soc`` under ``--scheme``.
+
+    Raises ``ValueError`` for a budget the PM rejects and
+    ``ExecutorError`` for a run that cannot finish (a static budget
+    below the idle floor leaves every tile without a clock).
+    """
+    soc = Soc(SOCS[args.soc]())
+    pm = build_pm(SCHEMES[args.scheme], soc, budget_mw)
+    return soc, WorkloadExecutor(soc, WORKLOADS[args.workload](), pm).run()
 
 
 def _obs_session(
@@ -160,10 +200,12 @@ def _add_obs_arguments(p: argparse.ArgumentParser) -> None:
 def cmd_soc_run(args: argparse.Namespace) -> int:
     session = _obs_session(args, f"soc-run-{args.soc}-{args.scheme}")
     with observing(session) if session is not None else nullcontext():
-        soc = Soc(SOCS[args.soc]())
-        budget = args.budget or DEFAULT_BUDGETS[args.soc]
-        pm = build_pm(SCHEMES[args.scheme], soc, budget)
-        result = WorkloadExecutor(soc, WORKLOADS[args.workload](), pm).run()
+        budget = _budget_mw(args)
+        try:
+            soc, result = _run_soc(args, budget)
+        except (ValueError, ExecutorError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         if session is not None:
             soc.noc.stats.publish(session.registry, soc.sim.now)
     print(f"soc={result.soc_name} scheme={args.scheme} budget={budget} mW")
@@ -228,12 +270,11 @@ def cmd_trace(args: argparse.Namespace) -> int:
                 )
                 print(f"trial {k}: {status}  {r.packets} packets")
         else:
-            soc = Soc(SOCS[args.soc]())
-            budget = args.budget or DEFAULT_BUDGETS[args.soc]
-            pm = build_pm(SCHEMES[args.scheme], soc, budget)
-            result = WorkloadExecutor(
-                soc, WORKLOADS[args.workload](), pm
-            ).run()
+            try:
+                soc, result = _run_soc(args, _budget_mw(args))
+            except (ValueError, ExecutorError) as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
             soc.noc.stats.publish(session.registry, soc.sim.now)
             print(
                 f"soc={result.soc_name} scheme={args.scheme} "
@@ -485,24 +526,27 @@ def cmd_campaign_clean(args: argparse.Namespace) -> int:
 def _build_report(args: argparse.Namespace):
     """The RunReport for the requested experiment (monitors enabled)."""
     from repro.obs.monitor import MonitorSet, default_monitors
-    from repro.report.run_report import convergence_report, soc_report
+    from repro.report.run_report import (
+        ReportError,
+        convergence_report,
+        soc_report,
+    )
 
     if args.experiment == "fig16":
         from repro.experiments.fig16_power_traces import run_reported
 
         return run_reported(SCHEMES[args.scheme], args.mode)
     if args.experiment == "soc":
-        budget = args.budget or DEFAULT_BUDGETS[args.soc]
+        budget = _budget_mw(args)
         monitors = MonitorSet(
             default_monitors(budget),
             Observation(f"report-soc-{args.soc}-{args.scheme}"),
         )
         with observing(monitors):
-            soc = Soc(SOCS[args.soc]())
-            pm = build_pm(SCHEMES[args.scheme], soc, budget)
-            result = WorkloadExecutor(
-                soc, WORKLOADS[args.workload](), pm
-            ).run()
+            try:
+                soc, result = _run_soc(args, budget)
+            except (ValueError, ExecutorError) as exc:
+                raise ReportError(str(exc)) from exc
         return soc_report(
             result,
             label=f"soc-{args.soc}-{args.workload}-{args.scheme}",
@@ -812,7 +856,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--scheme", choices=sorted(SCHEMES), default="BC")
     p.add_argument(
-        "--budget", type=float, default=None, help="power budget in mW"
+        "--budget", type=_budget_arg, default=None, help="power budget in mW"
     )
     _add_obs_arguments(p)
     p.set_defaults(func=cmd_soc_run)
@@ -857,7 +901,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--scheme", choices=sorted(SCHEMES), default="BC")
     p.add_argument(
-        "--budget", type=float, default=None, help="power budget in mW"
+        "--budget", type=_budget_arg, default=None, help="power budget in mW"
     )
     p.set_defaults(func=cmd_trace)
 
@@ -1018,7 +1062,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="fig16 case (default: WL-Par)",
     )
     p.add_argument(
-        "--budget", type=float, default=None, help="power budget in mW"
+        "--budget", type=_budget_arg, default=None, help="power budget in mW"
     )
     p.add_argument("--dim", type=int, default=6, help="grid dimension d")
     p.add_argument("--trials", type=int, default=3)

@@ -11,6 +11,12 @@ Under UVFR (Section IV-A) a tile always runs at the minimum voltage that
 sustains its frequency, so the single-variable curve ``P(F)`` used by the
 coin-to-frequency LUT evaluates the model at ``V = V_for_F(F)``.
 
+Its inverse, ``f_for_power``, nests the ``V_for_F`` bisection inside its
+own, so each curve memoizes it in a dict keyed by the queried power and
+cleared at ``F_FOR_POWER_MEMO_BOUND`` entries.  The memo is exact (a hit
+returns the float the solver returned), and ``get_curve`` hands out one
+curve per class, so every SoC in a process shares it.
+
 Peak powers are calibrated so that the SoC-level budgets in the paper
 hold: the 3x3 SoC's six accelerators total ~400 mW at F_max (its 120 mW /
 60 mW budgets are 30% / 15% of combined max power), and the 4x4 SoC's
@@ -24,6 +30,12 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 import numpy as np
+
+
+#: Most points one curve's ``f_for_power`` memo holds before it is
+#: cleared: two full 12-bit coin LUTs.  Power targets can be chosen
+#: freely (budgets come from users), so the key set is unbounded.
+F_FOR_POWER_MEMO_BOUND = 8192
 
 
 class CharacterizationError(ValueError):
@@ -81,6 +93,7 @@ class PowerFrequencyCurve:
         self._leak0 = (spec.p_max_mw * spec.leak_fraction) / math.exp(
             spec.v_max / self._leak_v0
         )
+        self._f_for_power_memo: Dict[float, float] = {}
 
     # ------------------------------------------------------------------ V/F
     def f_max_at(self, v: float) -> float:
@@ -138,8 +151,23 @@ class PowerFrequencyCurve:
 
         This is the inverse the coin-to-frequency LUT implements: coins
         encode a power entitlement, the LUT returns the frequency target.
-        Returns 0.0 when even the idle floor exceeds ``p_mw``.
+        Returns 0.0 when even the idle floor exceeds ``p_mw``.  Memoized
+        per curve (see the module docstring); a NaN power raises
+        :class:`CharacterizationError`.
         """
+        memo = self._f_for_power_memo
+        f = memo.get(p_mw)
+        if f is None:
+            if math.isnan(p_mw):
+                raise CharacterizationError(f"{self.spec.name}: power is NaN")
+            f = self._solve_f_for_power(p_mw)
+            if len(memo) >= F_FOR_POWER_MEMO_BOUND:
+                memo.clear()
+            memo[p_mw] = f
+        return f
+
+    def _solve_f_for_power(self, p_mw: float) -> float:
+        """The bisection behind :meth:`f_for_power`."""
         if p_mw <= 0:
             return 0.0
         if p_mw >= self.p_max_mw:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import math
 from typing import Dict, List, Optional
 
 from repro.baselines.centralized import (
@@ -63,6 +64,14 @@ def _record_response(scheme: str, now: int, response_cycles: int) -> None:
         )
 
 
+def _check_budget(budget_mw: float) -> None:
+    """Reject a budget that is not a positive, finite number of mW."""
+    if not (math.isfinite(budget_mw) and budget_mw > 0):
+        raise ValueError(
+            f"budget must be a positive, finite number of mW, got {budget_mw}"
+        )
+
+
 def _idle_floor_mw(soc: Soc, tiles) -> float:
     """Combined idle power of the managed tiles.
 
@@ -71,6 +80,17 @@ def _idle_floor_mw(soc: Soc, tiles) -> float:
     in steady state (the P_avg/P_budget = 97% regime of Fig. 19).
     """
     return sum(soc.curves[t].p_idle_mw for t in tiles)
+
+
+def _effective_budget_mw(soc: Soc, tiles, budget_mw: float) -> float:
+    """The budget net of the tiles' idle floor (mW), which must be > 0."""
+    _check_budget(budget_mw)
+    effective = budget_mw - _idle_floor_mw(soc, tiles)
+    if effective <= 0:
+        raise ValueError(
+            f"budget {budget_mw} mW does not cover the idle floor"
+        )
+    return effective
 
 
 def _default_bc_config() -> BlitzCoinConfig:
@@ -104,11 +124,7 @@ class BlitzCoinPM:
         self.tiles = soc.config.managed_accelerators()
         if not self.tiles:
             raise ValueError("SoC has no managed accelerator tiles")
-        effective = budget_mw - _idle_floor_mw(soc, self.tiles)
-        if effective <= 0:
-            raise ValueError(
-                f"budget {budget_mw} mW does not cover the idle floor"
-            )
+        effective = _effective_budget_mw(soc, self.tiles, budget_mw)
         self.coin_budget = build_pooled_budget(
             strategy,
             soc.p_max_by_tile(self.tiles),
@@ -223,11 +239,7 @@ class CentralizedPM:
         self.tiles = soc.config.managed_accelerators()
         if not self.tiles:
             raise ValueError("SoC has no managed accelerator tiles")
-        effective = budget_mw - _idle_floor_mw(soc, self.tiles)
-        if effective <= 0:
-            raise ValueError(
-                f"budget {budget_mw} mW does not cover the idle floor"
-            )
+        effective = _effective_budget_mw(soc, self.tiles, budget_mw)
         if policy == "crr":
             # The non-granted C-RR state is the true minimum (V, F) point:
             # minimum voltage with the clock wound down to the idle
@@ -326,6 +338,7 @@ class StaticPM:
             if tiles is not None
             else soc.config.managed_accelerators()
         )
+        _check_budget(budget_mw)
         effective = max(1e-9, budget_mw - _idle_floor_mw(soc, self.tiles))
         self.targets = allocate(
             strategy, soc.p_max_by_tile(self.tiles), effective
@@ -372,11 +385,7 @@ class TokenSmartPM:
         if not self.tiles:
             raise ValueError("SoC has no managed accelerator tiles")
         self.ts_config = ts_config or TokenSmartConfig()
-        effective = budget_mw - _idle_floor_mw(soc, self.tiles)
-        if effective <= 0:
-            raise ValueError(
-                f"budget {budget_mw} mW does not cover the idle floor"
-            )
+        effective = _effective_budget_mw(soc, self.tiles, budget_mw)
         self.coin_budget = build_pooled_budget(
             strategy, soc.p_max_by_tile(self.tiles), effective
         )

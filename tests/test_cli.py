@@ -19,6 +19,15 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["soc-run", "--scheme", "magic"])
 
+    @pytest.mark.parametrize("command", ["soc-run", "trace", "report"])
+    @pytest.mark.parametrize("budget", ["nan", "inf", "-inf", "0", "-3", "x"])
+    def test_bad_budget_is_a_usage_error(self, command, budget, capsys):
+        argv = [command] + (["soc"] if command != "soc-run" else [])
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv + [f"--budget={budget}"])
+        assert exc.value.code == 2
+        assert "positive, finite" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_soc_run_prints_summary(self, capsys):
@@ -37,6 +46,21 @@ class TestCommands:
         )
         assert rc == 0
         assert "budget=90" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("scheme", ["BC", "BC-C", "C-RR", "TS", "static"])
+    @pytest.mark.parametrize("command", ["soc-run", "trace", "report"])
+    def test_budget_below_idle_floor_is_one_error_line(
+        self, command, scheme, capsys, tmp_path
+    ):
+        argv = {
+            "soc-run": ["soc-run"],
+            "trace": ["trace", "soc", "--out", str(tmp_path)],
+            "report": ["report", "soc", "--out", str(tmp_path / "r.json")],
+        }[command]
+        rc = main(argv + ["--scheme", scheme, "--budget", "1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_convergence_trials(self, capsys):
         rc = main(

@@ -1,17 +1,23 @@
 """Golden-trace regression tests for the figure experiments.
 
 These pin the *exact* seeded outcomes (convergence cycles and coin
-packets) of the Fig. 3 / Fig. 4 small configurations.  Any change to
-the engine, NoC, RNG streams, or event ordering that shifts a single
-cycle shows up here as a diff against ``tests/fixtures/golden/*.json``
-— bit-level determinism is a core claim of the reproduction (and the
-precondition for the fault layer's "null plan changes nothing" test).
+packets) of the Fig. 3 / Fig. 4 small configurations, and one SoC run
+(the 3x3 SoC's parallel autonomous-vehicle workload at 120 mW) under
+every power-management scheme: its makespan, task finish cycles,
+response times and a digest of every per-tile frequency, power and
+activity trace.  Any change to the engine, NoC, RNG streams, event
+ordering, PM adapters or power-curve solves that shifts a single cycle
+or frequency shows up here as a diff against
+``tests/fixtures/golden/*.json`` — bit-level determinism is a core
+claim of the reproduction (and the precondition for the fault layer's
+"null plan changes nothing" test).
 
 Intentional behavior changes regenerate the fixtures with::
 
     pytest tests/test_golden_traces.py --update-golden
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -24,6 +30,10 @@ from repro.core.config import (
     preferred_embodiment,
 )
 from repro.core.runner import run_convergence_trial
+from repro.experiments.soc_runs import run_soc_workload
+from repro.soc.pm import PMKind
+from repro.soc.presets import soc_3x3
+from repro.workloads.apps import autonomous_vehicle_parallel
 
 GOLDEN_DIR = Path(__file__).parent / "fixtures" / "golden"
 THRESHOLD = 1.5
@@ -73,12 +83,41 @@ def _fig04_case(d: int):
             "BC": bc, "TS": ts}
 
 
+def _trace_digest(trace) -> str:
+    """sha256 over a recorder trace's ``(time, repr(value))`` samples."""
+    h = hashlib.sha256()
+    for time, value in trace:
+        h.update(f"{time} {value!r}\n".encode())
+    return h.hexdigest()
+
+
+def _soc_case(budget_mw: float):
+    """The 3x3 SoC's WL-Par workload under each PM scheme."""
+    runs = {}
+    for kind in PMKind:
+        r = run_soc_workload(
+            soc_3x3(), autonomous_vehicle_parallel(), kind, budget_mw
+        )
+        runs[kind.value] = {
+            "makespan_cycles": r.makespan_cycles,
+            "task_finish_cycles": r.task_finish_cycles,
+            "response_times_cycles": r.response_times_cycles,
+            "traces": {
+                name: _trace_digest(r.recorder[name])
+                for name in r.recorder.names()
+            },
+        }
+    return {"experiment": "soc", "soc": "3x3", "workload": "av-par",
+            "budget_mw": budget_mw, "runs": runs}
+
+
 CASES = {
     "fig03_1way_d3": lambda: _fig03_case("1-way", 3),
     "fig03_1way_d4": lambda: _fig03_case("1-way", 4),
     "fig03_4way_d3": lambda: _fig03_case("4-way", 3),
     "fig03_4way_d4": lambda: _fig03_case("4-way", 4),
     "fig04_d4": lambda: _fig04_case(4),
+    "soc3x3_avpar_120mw": lambda: _soc_case(120.0),
 }
 
 

@@ -1,11 +1,15 @@
 """Tests for the P/V/F characterization models."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.dvfs.lut import CoinLut
 from repro.power.characterization import (
     ACCELERATOR_CATALOG,
+    F_FOR_POWER_MEMO_BOUND,
     AcceleratorClass,
     CharacterizationError,
     PowerFrequencyCurve,
@@ -182,3 +186,52 @@ class TestValidation:
         f = c.f_for_power(p)
         if f > 0:
             assert c.power_at_f(f) <= p + 1e-6
+
+
+class TestFrequencyForPowerMemo:
+    """``f_for_power`` is memoized per curve: exact, bounded, NaN-free."""
+
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_warm_curve_equals_fresh_solve(self, name, data):
+        warm = get_curve(name)
+        p_max = warm.p_max_mw
+        p = data.draw(
+            st.one_of(
+                st.sampled_from([0.0, p_max]),
+                st.floats(-1.0, 2 * p_max),
+            )
+        )
+        warm.f_for_power(p)
+        fresh = PowerFrequencyCurve(warm.spec)
+        assert warm.f_for_power(p) == fresh._solve_f_for_power(p)
+        assert warm.f_for_power(p) == fresh.f_for_power(p)
+
+    def test_memo_never_exceeds_its_bound(self):
+        curve = PowerFrequencyCurve(ACCELERATOR_CATALOG["FFT"])
+        f_max = curve.spec.f_max_hz
+        # Keys at or above p_max skip the bisection, so this stays cheap.
+        for k in range(F_FOR_POWER_MEMO_BOUND + 100):
+            assert curve.f_for_power(curve.p_max_mw + k) == f_max
+            assert len(curve._f_for_power_memo) <= F_FOR_POWER_MEMO_BOUND
+        p = 0.5 * curve.p_max_mw
+        assert curve.f_for_power(p) == PowerFrequencyCurve(
+            curve.spec
+        ).f_for_power(p)
+
+    def test_nan_power_raises_and_is_not_memoized(self):
+        curve = PowerFrequencyCurve(ACCELERATOR_CATALOG["FFT"])
+        for _ in range(2):
+            with pytest.raises(CharacterizationError):
+                curve.f_for_power(math.nan)
+        assert curve._f_for_power_memo == {}
+
+    @pytest.mark.parametrize("name", ALL_NAMES)
+    def test_coin_lut_rebuilt_from_one_curve_is_identical(self, name):
+        curve = PowerFrequencyCurve(ACCELERATOR_CATALOG[name])
+        coin_value = curve.p_max_mw / 40
+        cold = CoinLut(curve, coin_value)
+        warm = CoinLut(curve, coin_value)
+        assert warm.entries() == cold.entries()
+        assert cold.entries()[-1] == curve.spec.f_max_hz

@@ -1,5 +1,7 @@
 """Tests for the power-manager adapters on a live SoC."""
 
+import math
+
 import pytest
 
 from repro.power.allocation import AllocationStrategy
@@ -24,6 +26,19 @@ class TestBuildPm:
         assert hasattr(pm, "start")
         assert hasattr(pm, "on_tile_start")
         assert hasattr(pm, "response_times")
+
+    @pytest.mark.parametrize("kind", list(PMKind))
+    @pytest.mark.parametrize("budget", [math.nan, math.inf, -math.inf, 0.0, -5.0])
+    def test_non_positive_or_non_finite_budget_rejected(self, kind, budget):
+        with pytest.raises(ValueError, match="positive, finite"):
+            build_pm(kind, build_soc("3x3"), budget)
+
+    @pytest.mark.parametrize(
+        "kind", [k for k in PMKind if k is not PMKind.STATIC]
+    )
+    def test_budget_below_idle_floor_rejected(self, kind):
+        with pytest.raises(ValueError, match="idle floor"):
+            build_pm(kind, build_soc("3x3"), 1.0)
 
 
 class TestBlitzCoinPM:
