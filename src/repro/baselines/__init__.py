@@ -5,10 +5,11 @@
 * :mod:`~repro.baselines.centralized` — the centralized controllers:
   C-RR (round-robin max/min V,F) and BC-C (BlitzCoin's allocation computed
   centrally), both with O(N) poll/update loops.
-* :mod:`~repro.baselines.static` — static allocation (the silicon
-  baseline of Fig. 19).
 * :mod:`~repro.baselines.pricetheory` — the hierarchical price-theory
   manager (PT) [81], reproduced as a response-time scaling model.
+
+The static allocation of Fig. 19 runs on the SoC as
+:class:`repro.soc.pm.StaticPM`.
 """
 
 from repro.baselines.centralized import (
@@ -17,7 +18,6 @@ from repro.baselines.centralized import (
     ControllerTiming,
 )
 from repro.baselines.pricetheory import PriceTheoryModel
-from repro.baselines.static import StaticAllocator
 from repro.baselines.tokensmart import (
     TokenSmartConfig,
     TokenSmartResult,
@@ -30,7 +30,6 @@ __all__ = [
     "CentralizedScheme",
     "ControllerTiming",
     "PriceTheoryModel",
-    "StaticAllocator",
     "TokenSmartConfig",
     "TokenSmartResult",
     "TokenSmartSim",

@@ -14,6 +14,9 @@ Compare a convergence trial across algorithm variants::
 Regenerate a paper figure's rows::
 
     python -m repro figure fig17
+
+A command that fails prints one ``error:`` line on stderr and exits 2:
+commands raise, and :func:`main` reports.
 """
 
 from __future__ import annotations
@@ -21,11 +24,12 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
+import os
 import statistics
 import sys
 from contextlib import nullcontext
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.analysis.__main__ import add_lint_arguments, run_lint
 from repro.campaign import (
@@ -41,7 +45,7 @@ from repro.core.config import (
     plain_one_way,
     preferred_embodiment,
 )
-from repro.core.runner import run_convergence_trial
+from repro.core.runner import TrialResult, run_convergence_trial
 from repro.faults import (
     FaultPlan,
     FaultPlanError,
@@ -103,6 +107,13 @@ VARIANTS: Dict[str, Callable] = {
 #: Default budget per SoC: the paper's 30%-of-combined-maximum points.
 DEFAULT_BUDGETS = {"3x3": 120.0, "4x4": 450.0, "6x6": 180.0}
 
+#: The experiment ``report`` runs when none is named.
+DEFAULT_REPORT = "fig16"
+
+
+class CliError(Exception):
+    """A command failure that :func:`main` prints as one ``error:`` line."""
+
 
 def _budget_arg(text: str) -> float:
     """argparse type of ``--budget``: a positive, finite number of mW."""
@@ -128,84 +139,92 @@ def _run_soc(
     """``(soc, result)``: ``--workload`` on ``--soc`` under ``--scheme``.
 
     Raises ``ValueError`` for a budget the PM rejects and
-    ``ExecutorError`` for a run that cannot finish (a static budget
-    below the idle floor leaves every tile without a clock).
+    ``ExecutorError`` for a run that cannot finish.
     """
     soc = Soc(SOCS[args.soc]())
     pm = build_pm(SCHEMES[args.scheme], soc, budget_mw)
     return soc, WorkloadExecutor(soc, WORKLOADS[args.workload](), pm).run()
 
 
+def _trials(
+    args: argparse.Namespace, plan: Optional[FaultPlan], sink
+) -> Iterator[Tuple[int, TrialResult]]:
+    """``(k, result)`` for each of the ``--trials`` seeded convergence trials.
+
+    Trial ``k`` opens epoch ``trial<k>`` on ``sink`` (when there is one)
+    and runs at seed ``--seed + k`` under ``plan`` reseeded with ``+ k``,
+    an independent, seed-exact fault stream per trial.  ``plan=None``
+    installs no injector at all.
+    """
+    config = VARIANTS[args.variant]()
+    for k in range(args.trials):
+        if sink is not None:
+            sink.epoch(f"trial{k}")
+        trial_config = config
+        if plan is not None:
+            trial_config = dataclasses.replace(
+                config, fault_plan=plan.with_seed(plan.seed + k)
+            )
+        yield k, run_convergence_trial(
+            args.dim, trial_config, seed=args.seed + k, threshold=args.threshold
+        )
+
+
+def _write(what: str, write: Callable[..., Path], *args) -> Path:
+    """``write(*args)``, its failure raised as ``cannot write <what>``.
+
+    Only the write is guarded: a closed stdout while the caller prints
+    the path reaches :func:`main` as the ``BrokenPipeError`` it is.
+    """
+    try:
+        return write(*args)
+    except (OSError, ValueError) as exc:
+        raise CliError(f"cannot write {what}: {exc}") from exc
+
+
+def _write_trace_outputs(session: Observation, out_dir: str) -> None:
+    """Write trace.json, events.jsonl and summary.txt into ``out_dir``."""
+    out = Path(out_dir)
+    paths = [
+        _write("trace outputs", writer, session, out / name)
+        for writer, name in (
+            (write_chrome_trace, "trace.json"),
+            (write_jsonl, "events.jsonl"),
+            (write_summary, "summary.txt"),
+        )
+    ]
+    for path in paths:
+        print(f"wrote {path}")
+
+
 def _obs_session(
     args: argparse.Namespace, label: str
 ) -> Optional[Observation]:
     """An Observation when ``--obs``/``--trace-out`` asked for one."""
-    if getattr(args, "trace_out", None) or getattr(args, "obs", False):
+    if args.trace_out or args.obs:
         return Observation(label=label)
     return None
 
 
 def _finish_obs(
     session: Optional[Observation], args: argparse.Namespace
-) -> int:
-    """Write/print observability outputs after an observed command.
-
-    Returns 0, or 2 if the trace outputs could not be written (bad
-    ``--trace-out`` destination) — callers propagate the failure as the
-    command's exit code rather than crashing with a traceback.
-    """
+) -> None:
+    """Write the ``--trace-out`` files and print the ``--obs`` summary."""
     if session is None:
-        return 0
-    trace_out = getattr(args, "trace_out", None)
-    if trace_out:
-        try:
-            for path in _write_trace_outputs(session, trace_out).values():
-                print(f"wrote {path}")
-        except OSError as exc:
-            print(f"error: cannot write trace outputs: {exc}", file=sys.stderr)
-            return 2
-    if getattr(args, "obs", False):
+        return
+    if args.trace_out:
+        _write_trace_outputs(session, args.trace_out)
+    if args.obs:
         print()
         for line in summary_lines(session):
             print(line)
-    return 0
-
-
-def _write_trace_outputs(
-    session: Observation, out_dir: Union[str, Path]
-) -> Dict[str, Path]:
-    """Write all three export formats into ``out_dir``."""
-    out = Path(out_dir)
-    return {
-        "trace": write_chrome_trace(session, out / "trace.json"),
-        "events": write_jsonl(session, out / "events.jsonl"),
-        "summary": write_summary(session, out / "summary.txt"),
-    }
-
-
-def _add_obs_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--obs",
-        action="store_true",
-        help="collect observability metrics and print a summary",
-    )
-    p.add_argument(
-        "--trace-out",
-        default=None,
-        metavar="DIR",
-        help="write trace.json / events.jsonl / summary.txt to DIR",
-    )
 
 
 def cmd_soc_run(args: argparse.Namespace) -> int:
     session = _obs_session(args, f"soc-run-{args.soc}-{args.scheme}")
+    budget = _budget_mw(args)
     with observing(session) if session is not None else nullcontext():
-        budget = _budget_mw(args)
-        try:
-            soc, result = _run_soc(args, budget)
-        except (ValueError, ExecutorError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        soc, result = _run_soc(args, budget)
         if session is not None:
             soc.noc.stats.publish(session.registry, soc.sim.now)
     print(f"soc={result.soc_name} scheme={args.scheme} budget={budget} mW")
@@ -215,157 +234,62 @@ def cmd_soc_run(args: argparse.Namespace) -> int:
     print(f"avg power     {result.average_power_mw():10.1f} mW")
     print(f"utilization   {result.budget_utilization() * 100:10.1f} %")
     print(f"energy        {result.energy_mj() * 1000:10.3f} uJ")
-    return _finish_obs(session, args)
-
-
-def cmd_convergence(args: argparse.Namespace) -> int:
-    config = VARIANTS[args.variant]()
-    session = _obs_session(args, f"convergence-d{args.dim}")
-    cycles, packets = [], []
-    with observing(session) if session is not None else nullcontext():
-        for k in range(args.trials):
-            if session is not None:
-                session.epoch(f"trial{k}")
-            r = run_convergence_trial(
-                args.dim,
-                config,
-                seed=args.seed + k,
-                threshold=args.threshold,
-            )
-            if not r.converged:
-                print(f"trial {k}: DID NOT CONVERGE")
-                continue
-            cycles.append(r.cycles)
-            packets.append(r.packets)
-            print(
-                f"trial {k}: {r.cycles:8d} cycles  {r.packets:8d} packets  "
-                f"start_err={r.start_error:6.2f} final_err={r.final_error:5.2f}"
-            )
-    if cycles:
-        print(
-            f"mean: {statistics.mean(cycles):10.0f} cycles  "
-            f"{statistics.mean(packets):10.0f} packets  "
-            f"({args.variant}, d={args.dim}, N={args.dim ** 2})"
-        )
-    rc = _finish_obs(session, args)
-    return rc if rc else (0 if cycles else 1)
-
-
-def cmd_trace(args: argparse.Namespace) -> int:
-    """Run one experiment under full observability and export the trace."""
-    session = Observation(label=f"trace-{args.experiment}")
-    with observing(session):
-        if args.experiment == "convergence":
-            config = VARIANTS[args.variant]()
-            for k in range(args.trials):
-                session.epoch(f"trial{k}")
-                r = run_convergence_trial(
-                    args.dim,
-                    config,
-                    seed=args.seed + k,
-                    threshold=args.threshold,
-                )
-                status = (
-                    f"{r.cycles} cycles" if r.converged else "DID NOT CONVERGE"
-                )
-                print(f"trial {k}: {status}  {r.packets} packets")
-        else:
-            try:
-                soc, result = _run_soc(args, _budget_mw(args))
-            except (ValueError, ExecutorError) as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-            soc.noc.stats.publish(session.registry, soc.sim.now)
-            print(
-                f"soc={result.soc_name} scheme={args.scheme} "
-                f"makespan={result.makespan_us:.1f} us"
-            )
-    for line in summary_lines(session):
-        print(line)
-    print()
-    try:
-        for path in _write_trace_outputs(session, args.out).values():
-            print(f"wrote {path}")
-    except OSError as exc:
-        print(f"error: cannot write trace outputs: {exc}", file=sys.stderr)
-        return 2
-    print("open trace.json in ui.perfetto.dev or chrome://tracing")
+    _finish_obs(session, args)
     return 0
 
 
-def _build_fault_plan(args: argparse.Namespace) -> FaultPlan:
-    """A FaultPlan from ``--plan`` or from the individual rate flags.
-
-    Raises :class:`FaultPlanError` for unreadable/malformed plan files
-    and out-of-range rates.
-    """
-    if args.plan:
-        plan = load_fault_plan(args.plan)
-        if args.fault_seed is not None:
-            plan = plan.with_seed(args.fault_seed)
-        return plan
-    events = []
-    if args.kill_tile is not None:
-        events.append(
-            TileFaultEvent(
-                cycle=args.kill_at, tile=args.kill_tile, action="kill"
+def _build_fault_plan(args: argparse.Namespace) -> Optional[FaultPlan]:
+    """The FaultPlan of ``--plan`` or of the rate flags; None when null."""
+    try:
+        if args.plan:
+            plan = load_fault_plan(args.plan)
+            if args.fault_seed is not None:
+                plan = plan.with_seed(args.fault_seed)
+        else:
+            events: Tuple[TileFaultEvent, ...] = ()
+            if args.kill_tile is not None:
+                events = (
+                    TileFaultEvent(
+                        cycle=args.kill_at, tile=args.kill_tile, action="kill"
+                    ),
+                )
+            plan = FaultPlan(
+                seed=args.fault_seed if args.fault_seed is not None else 0,
+                link=LinkFaultRates(
+                    drop=args.rate,
+                    duplicate=args.duplicate_rate,
+                    corrupt=args.corrupt_rate,
+                    delay=args.delay_rate,
+                    max_delay_cycles=args.max_delay,
+                ),
+                tile_events=events,
             )
-        )
-    return FaultPlan(
-        seed=args.fault_seed if args.fault_seed is not None else 0,
-        link=LinkFaultRates(
-            drop=args.rate,
-            duplicate=args.duplicate_rate,
-            corrupt=args.corrupt_rate,
-            delay=args.delay_rate,
-            max_delay_cycles=args.max_delay,
-        ),
-        tile_events=tuple(events),
-    )
+    except FaultPlanError as exc:
+        raise CliError(f"invalid fault plan: {exc}") from exc
+    return None if plan.is_null else plan
 
 
-def cmd_faults(args: argparse.Namespace) -> int:
-    """Convergence trials under fault injection, or the full sweep.
+def cmd_trials(args: argparse.Namespace) -> int:
+    """``convergence`` and ``faults``: seeded trials, or the fault sweep.
 
-    With a null plan (all rates zero, no events) this runs the exact
-    fault-free path — no injector is installed, so the trial results
-    are bit-identical to ``repro convergence`` at the same seeds.
+    ``convergence`` has no fault flags, and a null plan from ``faults``
+    installs no injector either, so at the same seeds the two print the
+    same trial lines, bit for bit.
     """
-    if args.sweep:
+    faults = args.command == "faults"
+    if faults and args.sweep:
         from repro.experiments import fault_sweep
 
         result = fault_sweep.run(d=args.dim, trials=args.trials)
         for row in fault_sweep.format_rows(result):
             print(row)
         return 0
-    try:
-        plan = _build_fault_plan(args)
-    except FaultPlanError as exc:
-        print(f"error: invalid fault plan: {exc}", file=sys.stderr)
-        return 2
-    config = dataclasses.replace(
-        VARIANTS[args.variant](),
-        fault_plan=None if plan.is_null else plan,
-    )
-    session = _obs_session(args, f"faults-d{args.dim}")
+    plan = _build_fault_plan(args) if faults else None
+    session = _obs_session(args, f"{args.command}-d{args.dim}")
     cycles, packets = [], []
     lost = reconciled = discarded = timeouts = 0
     with observing(session) if session is not None else nullcontext():
-        for k in range(args.trials):
-            if session is not None:
-                session.epoch(f"trial{k}")
-            trial_config = config
-            if config.fault_plan is not None:
-                # Independent fault stream per trial, still seed-exact.
-                trial_config = dataclasses.replace(
-                    config, fault_plan=plan.with_seed(plan.seed + k)
-                )
-            r = run_convergence_trial(
-                args.dim,
-                trial_config,
-                seed=args.seed + k,
-                threshold=args.threshold,
-            )
+        for k, r in _trials(args, plan, session):
             lost += r.coins_lost
             reconciled += r.coins_reconciled
             discarded += r.packets_discarded
@@ -385,13 +309,36 @@ def cmd_faults(args: argparse.Namespace) -> int:
             f"{statistics.mean(packets):10.0f} packets  "
             f"({args.variant}, d={args.dim}, N={args.dim ** 2})"
         )
-    if config.fault_plan is not None:
+    if plan is not None:
         print(
             f"faults: discarded={discarded} coins_lost={lost} "
             f"reconciled={reconciled} timeouts={timeouts}"
         )
-    rc = _finish_obs(session, args)
-    return rc if rc else (0 if cycles else 1)
+    _finish_obs(session, args)
+    return 0 if cycles else 1
+
+
+def cmd_trace(args: argparse.Namespace) -> int:
+    """Run one experiment under full observability and export the trace."""
+    session = Observation(label=f"trace-{args.experiment}")
+    with observing(session):
+        if args.experiment == "convergence":
+            for k, r in _trials(args, None, session):
+                status = f"{r.cycles} cycles" if r.converged else "DID NOT CONVERGE"
+                print(f"trial {k}: {status}  {r.packets} packets")
+        else:
+            soc, result = _run_soc(args, _budget_mw(args))
+            soc.noc.stats.publish(session.registry, soc.sim.now)
+            print(
+                f"soc={result.soc_name} scheme={args.scheme} "
+                f"makespan={result.makespan_us:.1f} us"
+            )
+    for line in summary_lines(session):
+        print(line)
+    print()
+    _write_trace_outputs(session, args.out)
+    print("open trace.json in ui.perfetto.dev or chrome://tracing")
+    return 0
 
 
 #: Default on-disk location of the campaign result store.
@@ -407,11 +354,7 @@ def _campaign_spec(args: argparse.Namespace) -> CampaignSpec:
 
 def cmd_campaign_run(args: argparse.Namespace) -> int:
     """Run (or resume) a campaign; cached units are never re-executed."""
-    try:
-        spec = _campaign_spec(args)
-    except CampaignError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    spec = _campaign_spec(args)
     store = CampaignStore(args.store)
     session = _obs_session(args, f"campaign-{spec.name}")
 
@@ -423,19 +366,15 @@ def cmd_campaign_run(args: argparse.Namespace) -> int:
                 f"unit={unit.unit_hash[:12]}"
             )
 
-    try:
-        with observing(session) if session is not None else nullcontext():
-            result = run_campaign(
-                spec,
-                store=store,
-                workers=args.workers,
-                verify_units=args.verify,
-                fresh=args.fresh,
-                progress=progress,
-            )
-    except CampaignError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with observing(session) if session is not None else nullcontext():
+        result = run_campaign(
+            spec,
+            store=store,
+            workers=args.workers,
+            verify_units=args.verify,
+            fresh=args.fresh,
+            progress=progress,
+        )
     print(f"campaign {spec.name}  kind={spec.kind}  spec={spec.spec_hash[:16]}")
     print(
         f"units total={result.total} cached={result.cached} "
@@ -446,12 +385,9 @@ def cmd_campaign_run(args: argparse.Namespace) -> int:
     if args.csv:
         from repro.report.campaign_export import export_campaign_csv
 
-        try:
-            print(f"wrote {export_campaign_csv(result, args.csv)}")
-        except OSError as exc:
-            print(f"error: cannot write CSV: {exc}", file=sys.stderr)
-            return 2
-    return _finish_obs(session, args)
+        print(f"wrote {_write('CSV', export_campaign_csv, result, args.csv)}")
+    _finish_obs(session, args)
+    return 0
 
 
 def _campaign_status_all(store: CampaignStore) -> int:
@@ -483,14 +419,10 @@ def cmd_campaign_status(args: argparse.Namespace) -> int:
     """Report done / missing / corrupt artifact counts for a spec."""
     if not args.spec and not args.preset:
         return _campaign_status_all(CampaignStore(args.store))
-    try:
-        spec = _campaign_spec(args)
-        store = CampaignStore(args.store)
-        status = store.scan(spec)
-        manifest = store.load_manifest(spec)
-    except CampaignError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    spec = _campaign_spec(args)
+    store = CampaignStore(args.store)
+    status = store.scan(spec)
+    manifest = store.load_manifest(spec)
     print(f"campaign {spec.name}  kind={spec.kind}  spec={spec.spec_hash[:16]}")
     print(
         f"units total={status.total} done={status.done} "
@@ -512,11 +444,7 @@ def cmd_campaign_clean(args: argparse.Namespace) -> int:
         removed = store.clean_all()
         print(f"removed store {store.root}" if removed else "store is empty")
         return 0
-    try:
-        spec = _campaign_spec(args)
-    except CampaignError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    spec = _campaign_spec(args)
     removed = store.clean(spec)
     target = store.spec_dir(spec)
     print(f"removed {target}" if removed else f"nothing stored at {target}")
@@ -526,11 +454,7 @@ def cmd_campaign_clean(args: argparse.Namespace) -> int:
 def _build_report(args: argparse.Namespace):
     """The RunReport for the requested experiment (monitors enabled)."""
     from repro.obs.monitor import MonitorSet, default_monitors
-    from repro.report.run_report import (
-        ReportError,
-        convergence_report,
-        soc_report,
-    )
+    from repro.report.run_report import convergence_report, soc_report
 
     if args.experiment == "fig16":
         from repro.experiments.fig16_power_traces import run_reported
@@ -543,40 +467,25 @@ def _build_report(args: argparse.Namespace):
             Observation(f"report-soc-{args.soc}-{args.scheme}"),
         )
         with observing(monitors):
-            try:
-                soc, result = _run_soc(args, budget)
-            except (ValueError, ExecutorError) as exc:
-                raise ReportError(str(exc)) from exc
+            soc, result = _run_soc(args, budget)
         return soc_report(
             result,
             label=f"soc-{args.soc}-{args.workload}-{args.scheme}",
             monitors=monitors,
             grid=(soc.config.width, soc.config.height),
         )
-    # convergence
-    config = VARIANTS[args.variant]()
     monitors = MonitorSet(
         default_monitors(), Observation(f"report-convergence-d{args.dim}")
     )
-    results = []
     with observing(monitors):
-        for k in range(args.trials):
-            monitors.epoch(f"trial{k}")
-            results.append(
-                run_convergence_trial(
-                    args.dim,
-                    config,
-                    seed=args.seed + k,
-                    threshold=args.threshold,
-                )
-            )
+        results = [r for _, r in _trials(args, None, monitors)]
     from repro.campaign.spec import encode_config
 
     return convergence_report(
         results,
         label=f"convergence-d{args.dim}-{args.variant}",
         d=args.dim,
-        config=encode_config(config),
+        config=encode_config(VARIANTS[args.variant]()),
         monitors=monitors,
     )
 
@@ -584,27 +493,19 @@ def _build_report(args: argparse.Namespace):
 def cmd_report(args: argparse.Namespace) -> int:
     """Run one experiment under the online monitors and write its
     RunReport (and optionally the self-contained HTML dashboard)."""
-    from repro.report.run_report import ReportError, write_run_report
+    from repro.report.run_report import write_run_report
 
-    try:
-        report = _build_report(args)
-    except ReportError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report = _build_report(args)
     alerts = sum(report.alert_counts.values())
     print(
         f"report {report.label}  kind={report.kind}  "
         f"config={report.config_hash[:16]}  alerts={alerts}"
     )
-    try:
-        print(f"wrote {write_run_report(report, args.out)}")
-        if args.html:
-            from repro.report.dashboard import write_dashboard
+    print(f"wrote {_write('report', write_run_report, report, args.out)}")
+    if args.html:
+        from repro.report.dashboard import write_dashboard
 
-            print(f"wrote {write_dashboard(report, args.html)}")
-    except OSError as exc:
-        print(f"error: cannot write report: {exc}", file=sys.stderr)
-        return 2
+        print(f"wrote {_write('report', write_dashboard, report, args.html)}")
     return 0
 
 
@@ -612,31 +513,22 @@ def _resolve_report_path(raw: str) -> Path:
     """A report path; a directory means its ``report.json`` (the
     campaign-store layout)."""
     path = Path(raw)
-    if path.is_dir():
-        return path / "report.json"
-    return path
+    return path / "report.json" if path.is_dir() else path
 
 
 def cmd_diff(args: argparse.Namespace) -> int:
     """Compare two RunReports; rc 3 when the candidate regressed."""
     from repro.report.diff import (
-        DiffError,
         diff_reports,
         format_diff_table,
         load_thresholds,
     )
-    from repro.report.run_report import ReportError, load_run_report
+    from repro.report.run_report import load_run_report
 
-    try:
-        thresholds = (
-            load_thresholds(args.thresholds) if args.thresholds else None
-        )
-        baseline = load_run_report(_resolve_report_path(args.baseline))
-        candidate = load_run_report(_resolve_report_path(args.candidate))
-        diff = diff_reports(baseline, candidate, thresholds)
-    except (DiffError, ReportError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    thresholds = load_thresholds(args.thresholds) if args.thresholds else None
+    baseline = load_run_report(_resolve_report_path(args.baseline))
+    candidate = load_run_report(_resolve_report_path(args.candidate))
+    diff = diff_reports(baseline, candidate, thresholds)
     for line in format_diff_table(diff, only_changed=args.only_changed):
         print(line)
     return 3 if diff.regressed else 0
@@ -648,36 +540,27 @@ def cmd_figure(args: argparse.Namespace) -> int:
     module = getattr(experiments, args.name, None)
     if module is None:
         candidates = [m for m in experiments.__all__ if args.name in m]
-        if len(candidates) == 1:
-            module = getattr(experiments, candidates[0])
-        else:
-            print(
+        if len(candidates) != 1:
+            raise CliError(
                 f"unknown figure {args.name!r}; available: "
-                f"{', '.join(experiments.__all__)}",
-                file=sys.stderr,
+                f"{', '.join(experiments.__all__)}"
             )
-            return 2
+        module = getattr(experiments, candidates[0])
     result = module.run()
     for row in module.format_rows(result):
         print(row)
     return 0
 
 
-def cmd_lint(args: argparse.Namespace) -> int:
-    return run_lint(args)
-
-
 def _bench_selection(args: argparse.Namespace):
     """The benchmarks named by ``--bench`` or ``--suite``."""
-    from repro.perf import REGISTRY, load_builtin_suites
+    from repro.perf import REGISTRY, PerfError, load_builtin_suites
 
     load_builtin_suites()
     if getattr(args, "bench", None):
         return [REGISTRY.get(name) for name in args.bench]
     benches = REGISTRY.suite(args.suite)
     if not benches:
-        from repro.perf import PerfError
-
         raise PerfError(
             f"no benchmarks in suite {args.suite!r}; known suites: "
             f"{', '.join(REGISTRY.suite_names())}"
@@ -713,33 +596,24 @@ def cmd_bench_list(args: argparse.Namespace) -> int:
 def cmd_bench_run(args: argparse.Namespace) -> int:
     """Run a suite and write its ``BENCH_<suite>.json`` artifact."""
     from repro.perf import (
-        PerfError,
         bench_artifact,
         run_suite_benchmarks,
         write_bench_artifact,
     )
 
-    try:
-        benches = _bench_selection(args)
-    except PerfError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    benches = _bench_selection(args)
 
     def progress(i: int, n: int, bench) -> None:
         print(f"[{i + 1}/{n}] {bench.name}", flush=True)
 
-    try:
-        results = run_suite_benchmarks(
-            benches,
-            reps=args.reps,
-            warmup=args.warmup,
-            profile=not args.no_profile,
-            progress=progress if not args.quiet else None,
-        )
-        doc = bench_artifact(args.suite, results)
-    except PerfError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    results = run_suite_benchmarks(
+        benches,
+        reps=args.reps,
+        warmup=args.warmup,
+        profile=not args.no_profile,
+        progress=progress if not args.quiet else None,
+    )
+    doc = bench_artifact(args.suite, results)
     width = max(len(r.name) for r in results)
     for r in results:
         best = min(r.per_rep_s) * 1000
@@ -748,57 +622,34 @@ def cmd_bench_run(args: argparse.Namespace) -> int:
             f"metrics={len(r.metrics)} counters={len(r.counters)}"
         )
     out = args.out or f"BENCH_{args.suite}.json"
-    try:
-        print(f"wrote {write_bench_artifact(doc, out)}")
-    except (OSError, PerfError) as exc:
-        print(f"error: cannot write artifact: {exc}", file=sys.stderr)
-        return 2
+    print(f"wrote {_write('artifact', write_bench_artifact, doc, out)}")
     return 0
 
 
 def cmd_bench_compare(args: argparse.Namespace) -> int:
     """Diff two bench artifacts; rc 3 when the candidate regressed."""
     from repro.perf import (
-        PerfError,
         bench_thresholds,
         compare_bench_artifacts,
         flat_bench_metrics,
         load_bench_artifact,
     )
-    from repro.report.diff import DiffError, format_diff_table, load_thresholds
+    from repro.report.diff import format_diff_table, load_thresholds
 
-    try:
-        baseline = load_bench_artifact(args.baseline)
-        candidate = load_bench_artifact(args.candidate)
-        if args.thresholds:
-            policy = load_thresholds(args.thresholds)
-        else:
-            keys = sorted(
-                set(flat_bench_metrics(baseline))
-                | set(flat_bench_metrics(candidate))
-            )
-            from repro.perf.artifact import (
-                DEFAULT_WALL_ABS,
-                DEFAULT_WALL_REL,
-            )
-
-            policy = bench_thresholds(
-                keys,
-                wall_rel=(
-                    DEFAULT_WALL_REL
-                    if args.wall_rel is None
-                    else args.wall_rel
-                ),
-                wall_abs=(
-                    DEFAULT_WALL_ABS
-                    if args.wall_abs is None
-                    else args.wall_abs
-                ),
-            )
-        diff = compare_bench_artifacts(baseline, candidate, policy)
-    except (PerfError, DiffError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    baseline = load_bench_artifact(args.baseline)
+    candidate = load_bench_artifact(args.candidate)
+    if args.thresholds:
+        policy = load_thresholds(args.thresholds)
+    else:
+        keys = sorted(
+            set(flat_bench_metrics(baseline))
+            | set(flat_bench_metrics(candidate))
+        )
+        walls = {"wall_rel": args.wall_rel, "wall_abs": args.wall_abs}
+        policy = bench_thresholds(
+            keys, **{k: v for k, v in walls.items() if v is not None}
+        )
+    diff = compare_bench_artifacts(baseline, candidate, policy)
     for line in format_diff_table(diff, only_changed=args.only_changed):
         print(line)
     return 3 if diff.regressed else 0
@@ -818,28 +669,71 @@ def cmd_bench_profile(args: argparse.Namespace) -> int:
 
     load_builtin_suites()
     profiler = PhaseProfiler()
-    try:
-        bench = REGISTRY.get(args.name)
-        if not bench.profile:
-            raise PerfError(
-                f"benchmark {bench.name!r} is not profileable "
-                "(it manages its own observability sink)"
-            )
-        call_benchmark(bench, profiler)
-    except PerfError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    bench = REGISTRY.get(args.name)
+    if not bench.profile:
+        raise PerfError(
+            f"benchmark {bench.name!r} is not profileable "
+            "(it manages its own observability sink)"
+        )
+    call_benchmark(bench, profiler)
     for line in phase_summary_lines(profiler):
         print(line)
     if args.trace_out:
-        try:
-            path = write_trace(phase_chrome_trace(profiler), args.trace_out)
-        except OSError as exc:
-            print(f"error: cannot write trace: {exc}", file=sys.stderr)
-            return 2
-        print(f"wrote {path}")
+        doc = phase_chrome_trace(profiler)
+        print(f"wrote {_write('trace', write_trace, doc, args.trace_out)}")
         print("open it in ui.perfetto.dev or chrome://tracing")
     return 0
+
+
+def _add_obs_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--obs",
+        action="store_true",
+        help="collect observability metrics and print a summary",
+    )
+    p.add_argument(
+        "--trace-out",
+        default=None,
+        metavar="DIR",
+        help="write trace.json / events.jsonl / summary.txt to DIR",
+    )
+
+
+def _add_trial_arguments(
+    p: argparse.ArgumentParser, *, dim: int, trials: int
+) -> None:
+    """The flags of a batch of seeded convergence trials."""
+    p.add_argument("--dim", type=int, default=dim, help="SoC dimension d")
+    p.add_argument("--trials", type=int, default=trials)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--threshold", type=float, default=1.5)
+    p.add_argument(
+        "--variant", choices=sorted(VARIANTS), default="preferred"
+    )
+
+
+def _add_scheme_argument(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--scheme", choices=sorted(SCHEMES), default="BC")
+
+
+def _add_soc_arguments(p: argparse.ArgumentParser) -> None:
+    """The flags of one workload run on a managed SoC."""
+    p.add_argument("--soc", choices=sorted(SOCS), default="3x3")
+    p.add_argument(
+        "--workload", choices=sorted(WORKLOADS), default="av-par"
+    )
+    _add_scheme_argument(p)
+    p.add_argument(
+        "--budget", type=_budget_arg, default=None, help="power budget in mW"
+    )
+
+
+def _add_fig16_arguments(p: argparse.ArgumentParser) -> None:
+    _add_scheme_argument(p)
+    p.add_argument(
+        "--mode", choices=["WL-Par", "WL-Dep"], default="WL-Par",
+        help="fig16 case (default: WL-Par)",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -850,89 +744,50 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("soc-run", help="run a workload on a managed SoC")
-    p.add_argument("--soc", choices=sorted(SOCS), default="3x3")
-    p.add_argument(
-        "--workload", choices=sorted(WORKLOADS), default="av-par"
-    )
-    p.add_argument("--scheme", choices=sorted(SCHEMES), default="BC")
-    p.add_argument(
-        "--budget", type=_budget_arg, default=None, help="power budget in mW"
-    )
+    _add_soc_arguments(p)
     _add_obs_arguments(p)
     p.set_defaults(func=cmd_soc_run)
 
     p = sub.add_parser(
         "convergence", help="run seeded coin-exchange convergence trials"
     )
-    p.add_argument("--dim", type=int, default=8, help="SoC dimension d")
-    p.add_argument("--trials", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threshold", type=float, default=1.5)
-    p.add_argument(
-        "--variant", choices=sorted(VARIANTS), default="preferred"
-    )
+    _add_trial_arguments(p, dim=8, trials=5)
     _add_obs_arguments(p)
-    p.set_defaults(func=cmd_convergence)
+    p.set_defaults(func=cmd_trials)
 
     p = sub.add_parser(
         "trace",
         help="run one experiment fully observed and export a Perfetto-"
         "loadable Chrome trace plus JSONL and text summaries",
     )
-    p.add_argument(
-        "experiment",
-        choices=["convergence", "soc"],
-        help="which experiment to trace",
+    esub = p.add_subparsers(
+        dest="experiment", required=True, help="which experiment to trace"
     )
-    p.add_argument(
-        "--out", default="obs_trace", metavar="DIR",
-        help="output directory (default: obs_trace)",
-    )
-    p.add_argument("--dim", type=int, default=6, help="grid dimension d")
-    p.add_argument("--trials", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threshold", type=float, default=1.5)
-    p.add_argument(
-        "--variant", choices=sorted(VARIANTS), default="preferred"
-    )
-    p.add_argument("--soc", choices=sorted(SOCS), default="3x3")
-    p.add_argument(
-        "--workload", choices=sorted(WORKLOADS), default="av-par"
-    )
-    p.add_argument("--scheme", choices=sorted(SCHEMES), default="BC")
-    p.add_argument(
-        "--budget", type=_budget_arg, default=None, help="power budget in mW"
-    )
-    p.set_defaults(func=cmd_trace)
+    for name, add_arguments in (
+        ("convergence", lambda ep: _add_trial_arguments(ep, dim=6, trials=1)),
+        ("soc", _add_soc_arguments),
+    ):
+        ep = esub.add_parser(name)
+        ep.add_argument(
+            "--out", default="obs_trace", metavar="DIR",
+            help="output directory (default: obs_trace)",
+        )
+        add_arguments(ep)
+        ep.set_defaults(func=cmd_trace)
 
     p = sub.add_parser(
         "faults",
         help="run convergence trials under fault injection "
         "(packet loss/duplication/corruption/delay, tile kills)",
     )
-    p.add_argument("--dim", type=int, default=8, help="SoC dimension d")
-    p.add_argument("--trials", type=int, default=5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threshold", type=float, default=1.5)
-    p.add_argument(
-        "--variant", choices=sorted(VARIANTS), default="preferred"
-    )
-    p.add_argument(
-        "--rate", type=float, default=0.0,
-        help="per-packet drop probability (default: 0.0)",
-    )
-    p.add_argument(
-        "--duplicate-rate", type=float, default=0.0,
-        help="per-packet duplication probability",
-    )
-    p.add_argument(
-        "--corrupt-rate", type=float, default=0.0,
-        help="per-packet corruption probability",
-    )
-    p.add_argument(
-        "--delay-rate", type=float, default=0.0,
-        help="per-packet extra-delay probability",
-    )
+    _add_trial_arguments(p, dim=8, trials=5)
+    for flag, help_text in (
+        ("--rate", "per-packet drop probability (default: 0.0)"),
+        ("--duplicate-rate", "per-packet duplication probability"),
+        ("--corrupt-rate", "per-packet corruption probability"),
+        ("--delay-rate", "per-packet extra-delay probability"),
+    ):
+        p.add_argument(flag, type=float, default=0.0, help=help_text)
     p.add_argument(
         "--max-delay", type=int, default=32,
         help="max extra delay in cycles (default: 32)",
@@ -959,7 +814,7 @@ def build_parser() -> argparse.ArgumentParser:
         "with and without kills) instead of single-plan trials",
     )
     _add_obs_arguments(p)
-    p.set_defaults(func=cmd_faults)
+    p.set_defaults(func=cmd_trials)
 
     p = sub.add_parser(
         "campaign",
@@ -1037,41 +892,27 @@ def build_parser() -> argparse.ArgumentParser:
         help="run one experiment under the online health monitors and "
         "write its RunReport artifact (see docs/REPORTS.md)",
     )
-    p.add_argument(
-        "experiment",
-        nargs="?",
-        choices=["fig16", "soc", "convergence"],
-        default="fig16",
-        help="which experiment to report on (default: fig16)",
+    esub = p.add_subparsers(
+        dest="experiment",
+        required=True,
+        help=f"which experiment to report on (default: {DEFAULT_REPORT})",
     )
-    p.add_argument(
-        "--out", default="run_report.json", metavar="FILE",
-        help="report destination (default: run_report.json)",
-    )
-    p.add_argument(
-        "--html", default=None, metavar="FILE",
-        help="also render the self-contained HTML dashboard",
-    )
-    p.add_argument("--soc", choices=sorted(SOCS), default="3x3")
-    p.add_argument(
-        "--workload", choices=sorted(WORKLOADS), default="av-par"
-    )
-    p.add_argument("--scheme", choices=sorted(SCHEMES), default="BC")
-    p.add_argument(
-        "--mode", choices=["WL-Par", "WL-Dep"], default="WL-Par",
-        help="fig16 case (default: WL-Par)",
-    )
-    p.add_argument(
-        "--budget", type=_budget_arg, default=None, help="power budget in mW"
-    )
-    p.add_argument("--dim", type=int, default=6, help="grid dimension d")
-    p.add_argument("--trials", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threshold", type=float, default=1.5)
-    p.add_argument(
-        "--variant", choices=sorted(VARIANTS), default="preferred"
-    )
-    p.set_defaults(func=cmd_report)
+    for name, add_arguments in (
+        ("fig16", _add_fig16_arguments),
+        ("soc", _add_soc_arguments),
+        ("convergence", lambda ep: _add_trial_arguments(ep, dim=6, trials=3)),
+    ):
+        ep = esub.add_parser(name)
+        ep.add_argument(
+            "--out", default="run_report.json", metavar="FILE",
+            help="report destination (default: run_report.json)",
+        )
+        ep.add_argument(
+            "--html", default=None, metavar="FILE",
+            help="also render the self-contained HTML dashboard",
+        )
+        add_arguments(ep)
+        ep.set_defaults(func=cmd_report)
 
     p = sub.add_parser(
         "diff",
@@ -1108,7 +949,7 @@ def build_parser() -> argparse.ArgumentParser:
         "static analysis",
     )
     add_lint_arguments(p)
-    p.set_defaults(func=cmd_lint)
+    p.set_defaults(func=run_lint)
 
     p = sub.add_parser(
         "bench",
@@ -1200,9 +1041,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _with_default_report(argv: List[str]) -> List[str]:
+    """``report [FLAGS]`` means ``report fig16 [FLAGS]`` (argparse has no
+    default sub-command)."""
+    if argv[:1] == ["report"] and (
+        len(argv) == 1
+        or (argv[1].startswith("-") and argv[1] not in ("-h", "--help"))
+    ):
+        return ["report", DEFAULT_REPORT, *argv[1:]]
+    return argv
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser().parse_args(_with_default_report(argv))
+    try:
+        rc = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (``repro ... | head``): stop
+        # quietly, and point stdout at devnull so the interpreter's
+        # exit-time flush cannot fail again (the ``signal`` docs' recipe).
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
+    except (CliError, CampaignError, ExecutorError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    return rc
 
 
 if __name__ == "__main__":

@@ -9,10 +9,8 @@ the measurements behind Figs. 3, 4, 6, 7 and 8.
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import Executor
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, List, Optional, Sequence, TypeVar
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -24,8 +22,6 @@ from repro.noc.behavioral import BehavioralNoc
 from repro.noc.topology import MeshTopology
 from repro.sim.kernel import Simulator
 from repro.sim.rng import rng_for
-
-T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -195,27 +191,6 @@ def run_convergence_trial(
     )
 
 
-def run_seeded(
-    fn: Callable[[int], T],
-    seeds: Sequence[int],
-    *,
-    executor: Optional[Executor] = None,
-) -> List[T]:
-    """Map a seeded trial function over ``seeds``, optionally through an
-    injected ``concurrent.futures`` executor.
-
-    This is the one trial loop the experiment drivers share.  With an
-    executor the results come back in seed order (``Executor.map``
-    semantics), so the output is bit-identical to the serial run: each
-    trial is a self-contained seeded simulation.  ``fn`` must be
-    picklable for process pools — a module-level function or a
-    ``functools.partial`` over one.
-    """
-    if executor is None:
-        return [fn(seed) for seed in seeds]
-    return list(executor.map(fn, seeds))
-
-
 def trial_seeds(n_trials: int, *, base_seed: int, stride: int) -> List[int]:
     """The ``base_seed * stride + k`` seed ladder of the figure drivers."""
     return [base_seed * stride + k for k in range(n_trials)]
@@ -232,46 +207,24 @@ def run_trials(
     max_cycles: int = 2_000_000,
     threshold: Optional[float] = None,
     donor_fraction: float = 0.1,
-    executor: Optional[Executor] = None,
 ) -> List[TrialResult]:
-    """Run ``n_trials`` independent seeded trials (serial by default;
-    pass a ``concurrent.futures`` executor to fan them out)."""
-    fn = partial(
-        _convergence_trial_at_seed,
-        d,
-        config,
-        scenario=scenario,
-        max_cycles=max_cycles,
-        threshold=threshold,
-        donor_fraction=donor_fraction,
-    )
-    return run_seeded(
-        fn,
-        trial_seeds(n_trials, base_seed=base_seed, stride=seed_stride),
-        executor=executor,
-    )
+    """Run ``n_trials`` independent seeded trials, one after another.
 
-
-def _convergence_trial_at_seed(
-    d: int,
-    config: BlitzCoinConfig,
-    seed: int,
-    *,
-    scenario: Optional[ScenarioSpec],
-    max_cycles: int,
-    threshold: Optional[float],
-    donor_fraction: float,
-) -> TrialResult:
-    """Picklable seed-last adapter for :func:`run_seeded`."""
-    return run_convergence_trial(
-        d,
-        config,
-        seed,
-        scenario=scenario,
-        max_cycles=max_cycles,
-        threshold=threshold,
-        donor_fraction=donor_fraction,
-    )
+    Parallel trial batches go through :func:`repro.campaign.run_campaign`,
+    whose process pool is checked against a serial re-run.
+    """
+    return [
+        run_convergence_trial(
+            d,
+            config,
+            seed,
+            scenario=scenario,
+            max_cycles=max_cycles,
+            threshold=threshold,
+            donor_fraction=donor_fraction,
+        )
+        for seed in trial_seeds(n_trials, base_seed=base_seed, stride=seed_stride)
+    ]
 
 
 def settle_to_residual(

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.power.allocation import AllocationStrategy
 from repro.soc.executor import SocRunResult, WorkloadExecutor
@@ -20,7 +20,6 @@ def run_soc_workload(
     *,
     strategy: AllocationStrategy = AllocationStrategy.RELATIVE_PROPORTIONAL,
     max_cycles: int = 50_000_000,
-    soc_tweak: Optional[Callable[[Soc], None]] = None,
     pm_out: Optional[list] = None,
 ) -> SocRunResult:
     """Build a fresh SoC, attach the PM, run the graph, return the result.
@@ -29,8 +28,6 @@ def run_soc_workload(
     inspect coin snapshots or response logs after the run).
     """
     soc = Soc(config)
-    if soc_tweak is not None:
-        soc_tweak(soc)
     pm = build_pm(pm_kind, soc, budget_mw, strategy=strategy)
     if pm_out is not None:
         pm_out.append(pm)

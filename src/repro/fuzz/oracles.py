@@ -369,12 +369,7 @@ def _soc_body(scenario: Scenario) -> str:
 STRICT_MONITORS = ("budget_overshoot",)
 
 
-def run_oracles(
-    scenario: Scenario,
-    *,
-    differential: bool = True,
-    fail_on_warn: bool = False,
-) -> FuzzOutcome:
+def run_oracles(scenario: Scenario) -> FuzzOutcome:
     """Execute a scenario and judge it with the full oracle battery.
 
     Alert policy: on a *fault-free* scenario any error-severity alert is
@@ -386,10 +381,9 @@ def run_oracles(
     failures: List[Failure] = list(primary.failures)
     strict = scenario.fault_plan.is_null
     for alert in primary.alerts:
-        is_failure = alert.severity == "error" and (
+        if alert.severity == "error" and (
             strict or alert.monitor in STRICT_MONITORS
-        )
-        if is_failure or (fail_on_warn and alert.severity == "warn"):
+        ):
             failures.append(
                 Failure(
                     oracle="monitor",
@@ -403,7 +397,7 @@ def run_oracles(
             )
     # Differential identities only make sense when the observed run
     # completed; a crashed run already failed a stronger oracle.
-    if differential and not primary.failures:
+    if not primary.failures:
         silent = execute_scenario(scenario, observed=False, inject=True)
         if not silent.failures and silent.fingerprint != primary.fingerprint:
             failures.append(

@@ -201,8 +201,6 @@ def soc_report(
     *,
     label: str,
     monitors: Optional[MonitorSet] = None,
-    session: Optional[Observation] = None,
-    alerts: Optional[Sequence[Alert]] = None,
     grid: Optional[Tuple[int, int]] = None,
     n_points: int = 240,
 ) -> RunReport:
@@ -210,12 +208,10 @@ def soc_report(
 
     ``monitors`` (a :class:`MonitorSet`) supplies both alerts and —
     through its wrapped observation — the metrics snapshot and final
-    coin levels; pass ``session``/``alerts`` separately when the run
-    was observed without monitors.
+    coin levels.
     """
-    if monitors is not None and session is None:
-        session = monitors.observation
-    alert_rows, alert_counts = _alert_payload(alerts, monitors)
+    session = monitors.observation if monitors is not None else None
+    alert_rows, alert_counts = _alert_payload(None, monitors)
 
     response = Histogram("response_us", bounds=_CYCLE_BOUNDS)
     for i, cycles in enumerate(result.response_times_cycles):
@@ -297,15 +293,12 @@ def convergence_report(
     d: int,
     config: Optional[Mapping[str, Any]] = None,
     monitors: Optional[MonitorSet] = None,
-    session: Optional[Observation] = None,
-    alerts: Optional[Sequence[Alert]] = None,
 ) -> RunReport:
     """Scorecard over a batch of convergence :class:`TrialResult`\\ s."""
     if not results:
         raise ReportError("convergence_report needs at least one trial")
-    if monitors is not None and session is None:
-        session = monitors.observation
-    alert_rows, alert_counts = _alert_payload(alerts, monitors)
+    session = monitors.observation if monitors is not None else None
+    alert_rows, alert_counts = _alert_payload(None, monitors)
 
     cycles = Histogram("cycles", bounds=_CYCLE_BOUNDS)
     packets = Histogram("packets", bounds=_CYCLE_BOUNDS)

@@ -232,7 +232,6 @@ class CentralizedPM:
         budget_mw: float,
         *,
         policy: str,
-        timing: Optional[ControllerTiming] = None,
     ) -> None:
         self.soc = soc
         self.budget_mw = budget_mw
@@ -251,19 +250,18 @@ class CentralizedPM:
         else:
             raise ValueError(f"unknown centralized policy {policy!r}")
         self.scheme_label = "C-RR" if policy == "crr" else "BC-C"
-        if timing is None:
-            # Per-tile loop costs calibrated to the paper's fitted scaling
-            # constants (Section VI-D): tau_BC-C = 0.66 us/tile and
-            # tau_C-RR = 0.96 us/tile at the 800 MHz NoC clock.  C-RR's
-            # software daemon costs more per tile than BC-C's firmware.
-            if policy == "crr":
-                timing = ControllerTiming(
-                    poll_overhead=400, set_overhead=300, compute_per_tile=40
-                )
-            else:
-                timing = ControllerTiming(
-                    poll_overhead=300, set_overhead=200, compute_per_tile=16
-                )
+        # Per-tile loop costs calibrated to the paper's fitted scaling
+        # constants (Section VI-D): tau_BC-C = 0.66 us/tile and
+        # tau_C-RR = 0.96 us/tile at the 800 MHz NoC clock.  C-RR's
+        # software daemon costs more per tile than BC-C's firmware.
+        if policy == "crr":
+            timing = ControllerTiming(
+                poll_overhead=400, set_overhead=300, compute_per_tile=40
+            )
+        else:
+            timing = ControllerTiming(
+                poll_overhead=300, set_overhead=200, compute_per_tile=16
+            )
         self.scheme = CentralizedScheme(
             soc.sim,
             soc.noc,
@@ -338,8 +336,7 @@ class StaticPM:
             if tiles is not None
             else soc.config.managed_accelerators()
         )
-        _check_budget(budget_mw)
-        effective = max(1e-9, budget_mw - _idle_floor_mw(soc, self.tiles))
+        effective = _effective_budget_mw(soc, self.tiles, budget_mw)
         self.targets = allocate(
             strategy, soc.p_max_by_tile(self.tiles), effective
         )
@@ -559,18 +556,14 @@ def build_pm(
     budget_mw: float,
     *,
     strategy: AllocationStrategy = AllocationStrategy.RELATIVE_PROPORTIONAL,
-    bc_config: Optional[BlitzCoinConfig] = None,
-    timing: Optional[ControllerTiming] = None,
 ):
     """Construct the requested power manager for a SoC."""
     if kind is PMKind.BLITZCOIN:
-        return BlitzCoinPM(
-            soc, budget_mw, strategy=strategy, config=bc_config
-        )
+        return BlitzCoinPM(soc, budget_mw, strategy=strategy)
     if kind is PMKind.BLITZCOIN_CENTRAL:
-        return CentralizedPM(soc, budget_mw, policy="bcc", timing=timing)
+        return CentralizedPM(soc, budget_mw, policy="bcc")
     if kind is PMKind.ROUND_ROBIN:
-        return CentralizedPM(soc, budget_mw, policy="crr", timing=timing)
+        return CentralizedPM(soc, budget_mw, policy="crr")
     if kind is PMKind.TOKENSMART:
         return TokenSmartPM(soc, budget_mw, strategy=strategy)
     if kind is PMKind.STATIC:

@@ -1,4 +1,4 @@
-"""Tests for the price-theory model and the static allocator."""
+"""Tests for the price-theory model."""
 
 import pytest
 
@@ -7,7 +7,6 @@ from repro.baselines.pricetheory import (
     market_allocation,
     pm_overhead_fraction,
 )
-from repro.baselines.static import StaticAllocator
 
 
 class TestPriceTheoryModel:
@@ -70,40 +69,3 @@ class TestMarketAllocation:
     def test_invalid_budget_rejected(self):
         with pytest.raises(ValueError):
             market_allocation({1: 1.0}, 0.0)
-
-
-class TestStaticAllocator:
-    def test_applies_frozen_targets_once(self):
-        applied = {}
-        alloc = StaticAllocator(
-            [1, 2],
-            {1: 100.0, 2: 50.0},
-            75.0,
-            apply_target=lambda t, p: applied.__setitem__(t, p),
-        )
-        alloc.start()
-        assert applied[1] == pytest.approx(50.0)
-        assert applied[2] == pytest.approx(25.0)
-
-    def test_activity_changes_ignored(self):
-        applied = {}
-        alloc = StaticAllocator(
-            [1],
-            {1: 100.0},
-            50.0,
-            apply_target=lambda t, p: applied.__setitem__(t, p),
-        )
-        alloc.start()
-        before = dict(applied)
-        alloc.on_activity_change(1)
-        assert applied == before
-
-    def test_double_start_rejected(self):
-        alloc = StaticAllocator([1], {1: 10.0}, 5.0, lambda t, p: None)
-        alloc.start()
-        with pytest.raises(RuntimeError):
-            alloc.start()
-
-    def test_no_response_times(self):
-        alloc = StaticAllocator([1], {1: 10.0}, 5.0, lambda t, p: None)
-        assert alloc.mean_response_cycles == 0.0

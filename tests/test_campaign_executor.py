@@ -8,7 +8,6 @@ means zero re-executed units, a partial store means exactly the
 missing ones, and a lying executor is caught by the verification pass.
 """
 
-import dataclasses
 from concurrent.futures import Executor, ProcessPoolExecutor
 
 import pytest
@@ -25,7 +24,7 @@ from repro.campaign import (
 from repro.campaign.executor import execute_unit
 from repro.campaign.spec import encode_config
 from repro.core.config import plain_one_way, preferred_embodiment
-from repro.core.runner import run_trials, trial_seeds
+from repro.core.runner import trial_seeds
 from repro.obs.runtime import observing
 
 
@@ -257,18 +256,7 @@ class TestGrouping:
 
 
 class TestRunTrialsExecutor:
-    """The injectable-executor seam under the legacy run_trials API."""
+    """The seed ladder under the legacy run_trials API."""
 
     def test_trial_seeds_ladder(self):
         assert trial_seeds(3, base_seed=3, stride=1000) == [3000, 3001, 3002]
-
-    def test_run_trials_parallel_matches_serial(self):
-        config = plain_one_way()
-        serial = run_trials(3, config, 2, base_seed=3, threshold=1.5)
-        with ProcessPoolExecutor(max_workers=2) as pool:
-            parallel = run_trials(
-                3, config, 2, base_seed=3, threshold=1.5, executor=pool
-            )
-        assert [canonical_json(dataclasses.asdict(r)) for r in parallel] == [
-            canonical_json(dataclasses.asdict(r)) for r in serial
-        ]

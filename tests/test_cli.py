@@ -1,5 +1,10 @@
 """Tests for the command-line interface."""
 
+import errno
+import io
+import os
+import sys
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -27,6 +32,49 @@ class TestParser:
             build_parser().parse_args(argv + [f"--budget={budget}"])
         assert exc.value.code == 2
         assert "positive, finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["report", "fig16", "--budget", "60"],
+            ["report", "--budget", "60"],
+            ["report", "convergence", "--dim", "3", "--trials", "1",
+             "--budget", "5", "--scheme", "C-RR"],
+            ["trace", "soc", "--dim", "99", "--trials", "7",
+             "--variant", "4way"],
+        ],
+    )
+    def test_flag_the_experiment_does_not_read_is_a_usage_error(
+        self, argv, capsys
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_convergence_and_faults_are_one_command(self):
+        parser = build_parser()
+        assert (
+            parser.parse_args(["convergence"]).func
+            is parser.parse_args(["faults"]).func
+        )
+
+
+class _HeadOneStdout(io.StringIO):
+    """A stdout piped into ``head -1``: once the first line is out, the
+    reader is gone and every further write raises."""
+
+    def __init__(self, fileno: int) -> None:
+        super().__init__()
+        self._fileno = fileno
+
+    def write(self, text: str) -> int:
+        if "\n" in self.getvalue():
+            raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+        return super().write(text)
+
+    def fileno(self) -> int:
+        return self._fileno
 
 
 class TestCommands:
@@ -86,3 +134,31 @@ class TestCommands:
         rc = main(["figure", "fig99"])
         assert rc == 2
         assert "unknown figure" in capsys.readouterr().err
+
+    def test_unknown_figure_is_one_error_line(self, capsys):
+        assert main(["figure", "nosuchfig"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown figure 'nosuchfig'")
+        assert err.count("\n") == 1
+
+    def test_bare_report_runs_fig16_with_its_flags(self, tmp_path, capsys):
+        out = tmp_path / "bare.json"
+        assert main(["report", "--out", str(out), "--mode", "WL-Dep"]) == 0
+        assert "report fig16-BC-WL-Dep  kind=soc" in capsys.readouterr().out
+        assert out.exists()
+
+    def test_closed_stdout_is_not_a_failed_write(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """``repro report ... | head -1``: the report is written, and the
+        reader leaving early is not reported as a failed write."""
+        out = tmp_path / "r.json"
+        with open(tmp_path / "stdout", "w") as sink:
+            monkeypatch.setattr(sys, "stdout", _HeadOneStdout(sink.fileno()))
+            rc = main(
+                ["report", "convergence", "--dim", "3", "--trials", "1",
+                 "--out", str(out)]
+            )
+        assert rc == 1
+        assert out.exists()
+        assert "cannot write" not in capsys.readouterr().err

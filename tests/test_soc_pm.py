@@ -33,9 +33,7 @@ class TestBuildPm:
         with pytest.raises(ValueError, match="positive, finite"):
             build_pm(kind, build_soc("3x3"), budget)
 
-    @pytest.mark.parametrize(
-        "kind", [k for k in PMKind if k is not PMKind.STATIC]
-    )
+    @pytest.mark.parametrize("kind", list(PMKind))
     def test_budget_below_idle_floor_rejected(self, kind):
         with pytest.raises(ValueError, match="idle floor"):
             build_pm(kind, build_soc("3x3"), 1.0)
