@@ -16,7 +16,11 @@ Regenerate a paper figure's rows::
     python -m repro figure fig17
 
 A command that fails prints one ``error:`` line on stderr and exits 2:
-commands raise, and :func:`main` reports.
+commands raise, and :func:`main` reports.  A command writes every file
+it was asked for before it prints the lines that follow its run, so a
+reader that closes stdout early (``| head -1``) cannot stop a
+requested file from being written.  ``bench run`` and ``campaign run
+--verbose`` are the exceptions: they print progress while they run.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import statistics
 import sys
 from contextlib import nullcontext
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.analysis.__main__ import add_lint_arguments, run_lint
 from repro.campaign import (
@@ -171,30 +175,30 @@ def _trials(
 
 
 def _write(what: str, write: Callable[..., Path], *args) -> Path:
-    """``write(*args)``, its failure raised as ``cannot write <what>``.
-
-    Only the write is guarded: a closed stdout while the caller prints
-    the path reaches :func:`main` as the ``BrokenPipeError`` it is.
-    """
+    """``write(*args)``, its failure raised as ``cannot write <what>``."""
     try:
         return write(*args)
     except (OSError, ValueError) as exc:
         raise CliError(f"cannot write {what}: {exc}") from exc
 
 
-def _write_trace_outputs(session: Observation, out_dir: str) -> None:
-    """Write trace.json, events.jsonl and summary.txt into ``out_dir``."""
+def _print_lines(lines: Iterable[str]) -> None:
+    for line in lines:
+        print(line)
+
+
+def _write_trace_outputs(session: Observation, out_dir: str) -> List[str]:
+    """Write trace.json, events.jsonl and summary.txt into ``out_dir``;
+    returns their ``wrote`` lines."""
     out = Path(out_dir)
-    paths = [
-        _write("trace outputs", writer, session, out / name)
+    return [
+        f"wrote {_write('trace outputs', writer, session, out / name)}"
         for writer, name in (
             (write_chrome_trace, "trace.json"),
             (write_jsonl, "events.jsonl"),
             (write_summary, "summary.txt"),
         )
     ]
-    for path in paths:
-        print(f"wrote {path}")
 
 
 def _obs_session(
@@ -208,16 +212,17 @@ def _obs_session(
 
 def _finish_obs(
     session: Optional[Observation], args: argparse.Namespace
-) -> None:
-    """Write the ``--trace-out`` files and print the ``--obs`` summary."""
+) -> List[str]:
+    """Write the ``--trace-out`` files; returns the lines that follow
+    the results: their ``wrote`` lines, then the ``--obs`` summary."""
+    lines: List[str] = []
     if session is None:
-        return
+        return lines
     if args.trace_out:
-        _write_trace_outputs(session, args.trace_out)
+        lines += _write_trace_outputs(session, args.trace_out)
     if args.obs:
-        print()
-        for line in summary_lines(session):
-            print(line)
+        lines += ["", *summary_lines(session)]
+    return lines
 
 
 def cmd_soc_run(args: argparse.Namespace) -> int:
@@ -227,6 +232,7 @@ def cmd_soc_run(args: argparse.Namespace) -> int:
         soc, result = _run_soc(args, budget)
         if session is not None:
             soc.noc.stats.publish(session.registry, soc.sim.now)
+    tail = _finish_obs(session, args)
     print(f"soc={result.soc_name} scheme={args.scheme} budget={budget} mW")
     print(f"makespan      {result.makespan_us:10.1f} us")
     print(f"response      {result.mean_response_us:10.2f} us (mean)")
@@ -234,7 +240,7 @@ def cmd_soc_run(args: argparse.Namespace) -> int:
     print(f"avg power     {result.average_power_mw():10.1f} mW")
     print(f"utilization   {result.budget_utilization() * 100:10.1f} %")
     print(f"energy        {result.energy_mj() * 1000:10.3f} uJ")
-    _finish_obs(session, args)
+    _print_lines(tail)
     return 0
 
 
@@ -278,14 +284,26 @@ def cmd_trials(args: argparse.Namespace) -> int:
     """
     faults = args.command == "faults"
     if faults and args.sweep:
+        # A flag counts as given when its value is not its default,
+        # the test argparse itself applies to exclusive options.
+        bare = vars(build_parser().parse_args(["faults"]))
+        unread = [
+            "--" + dest.replace("_", "-")
+            for dest, value in vars(args).items()
+            if dest not in ("dim", "trials", "sweep") and value != bare[dest]
+        ]
+        if unread:
+            raise CliError(
+                f"--sweep reads only --dim and --trials, not {' '.join(unread)}"
+            )
         from repro.experiments import fault_sweep
 
         result = fault_sweep.run(d=args.dim, trials=args.trials)
-        for row in fault_sweep.format_rows(result):
-            print(row)
+        _print_lines(fault_sweep.format_rows(result))
         return 0
     plan = _build_fault_plan(args) if faults else None
     session = _obs_session(args, f"{args.command}-d{args.dim}")
+    lines: List[str] = []
     cycles, packets = [], []
     lost = reconciled = discarded = timeouts = 0
     with observing(session) if session is not None else nullcontext():
@@ -295,48 +313,48 @@ def cmd_trials(args: argparse.Namespace) -> int:
             discarded += r.packets_discarded
             timeouts += r.timeouts
             if not r.converged:
-                print(f"trial {k}: DID NOT CONVERGE")
+                lines.append(f"trial {k}: DID NOT CONVERGE")
                 continue
             cycles.append(r.cycles)
             packets.append(r.packets)
-            print(
+            lines.append(
                 f"trial {k}: {r.cycles:8d} cycles  {r.packets:8d} packets  "
                 f"start_err={r.start_error:6.2f} final_err={r.final_error:5.2f}"
             )
     if cycles:
-        print(
+        lines.append(
             f"mean: {statistics.mean(cycles):10.0f} cycles  "
             f"{statistics.mean(packets):10.0f} packets  "
             f"({args.variant}, d={args.dim}, N={args.dim ** 2})"
         )
     if plan is not None:
-        print(
+        lines.append(
             f"faults: discarded={discarded} coins_lost={lost} "
             f"reconciled={reconciled} timeouts={timeouts}"
         )
-    _finish_obs(session, args)
+    lines += _finish_obs(session, args)
+    _print_lines(lines)
     return 0 if cycles else 1
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
     """Run one experiment under full observability and export the trace."""
     session = Observation(label=f"trace-{args.experiment}")
+    lines: List[str] = []
     with observing(session):
         if args.experiment == "convergence":
             for k, r in _trials(args, None, session):
                 status = f"{r.cycles} cycles" if r.converged else "DID NOT CONVERGE"
-                print(f"trial {k}: {status}  {r.packets} packets")
+                lines.append(f"trial {k}: {status}  {r.packets} packets")
         else:
             soc, result = _run_soc(args, _budget_mw(args))
             soc.noc.stats.publish(session.registry, soc.sim.now)
-            print(
+            lines.append(
                 f"soc={result.soc_name} scheme={args.scheme} "
                 f"makespan={result.makespan_us:.1f} us"
             )
-    for line in summary_lines(session):
-        print(line)
-    print()
-    _write_trace_outputs(session, args.out)
+    wrote = _write_trace_outputs(session, args.out)
+    _print_lines([*lines, *summary_lines(session), "", *wrote])
     print("open trace.json in ui.perfetto.dev or chrome://tracing")
     return 0
 
@@ -375,6 +393,12 @@ def cmd_campaign_run(args: argparse.Namespace) -> int:
             fresh=args.fresh,
             progress=progress,
         )
+    tail: List[str] = []
+    if args.csv:
+        from repro.report.campaign_export import export_campaign_csv
+
+        tail.append(f"wrote {_write('CSV', export_campaign_csv, result, args.csv)}")
+    tail += _finish_obs(session, args)
     print(f"campaign {spec.name}  kind={spec.kind}  spec={spec.spec_hash[:16]}")
     print(
         f"units total={result.total} cached={result.cached} "
@@ -382,11 +406,7 @@ def cmd_campaign_run(args: argparse.Namespace) -> int:
         f"workers={result.workers}"
     )
     print(f"store {store.spec_dir(spec)}")
-    if args.csv:
-        from repro.report.campaign_export import export_campaign_csv
-
-        print(f"wrote {_write('CSV', export_campaign_csv, result, args.csv)}")
-    _finish_obs(session, args)
+    _print_lines(tail)
     return 0
 
 
@@ -496,16 +516,17 @@ def cmd_report(args: argparse.Namespace) -> int:
     from repro.report.run_report import write_run_report
 
     report = _build_report(args)
+    wrote = [f"wrote {_write('report', write_run_report, report, args.out)}"]
+    if args.html:
+        from repro.report.dashboard import write_dashboard
+
+        wrote.append(f"wrote {_write('report', write_dashboard, report, args.html)}")
     alerts = sum(report.alert_counts.values())
     print(
         f"report {report.label}  kind={report.kind}  "
         f"config={report.config_hash[:16]}  alerts={alerts}"
     )
-    print(f"wrote {_write('report', write_run_report, report, args.out)}")
-    if args.html:
-        from repro.report.dashboard import write_dashboard
-
-        print(f"wrote {_write('report', write_dashboard, report, args.html)}")
+    _print_lines(wrote)
     return 0
 
 
@@ -529,8 +550,7 @@ def cmd_diff(args: argparse.Namespace) -> int:
     baseline = load_run_report(_resolve_report_path(args.baseline))
     candidate = load_run_report(_resolve_report_path(args.candidate))
     diff = diff_reports(baseline, candidate, thresholds)
-    for line in format_diff_table(diff, only_changed=args.only_changed):
-        print(line)
+    _print_lines(format_diff_table(diff, only_changed=args.only_changed))
     return 3 if diff.regressed else 0
 
 
@@ -546,9 +566,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
                 f"{', '.join(experiments.__all__)}"
             )
         module = getattr(experiments, candidates[0])
-    result = module.run()
-    for row in module.format_rows(result):
-        print(row)
+    _print_lines(module.format_rows(module.run()))
     return 0
 
 
@@ -650,8 +668,7 @@ def cmd_bench_compare(args: argparse.Namespace) -> int:
             keys, **{k: v for k, v in walls.items() if v is not None}
         )
     diff = compare_bench_artifacts(baseline, candidate, policy)
-    for line in format_diff_table(diff, only_changed=args.only_changed):
-        print(line)
+    _print_lines(format_diff_table(diff, only_changed=args.only_changed))
     return 3 if diff.regressed else 0
 
 
@@ -676,12 +693,12 @@ def cmd_bench_profile(args: argparse.Namespace) -> int:
             "(it manages its own observability sink)"
         )
     call_benchmark(bench, profiler)
-    for line in phase_summary_lines(profiler):
-        print(line)
+    lines = phase_summary_lines(profiler)
     if args.trace_out:
         doc = phase_chrome_trace(profiler)
-        print(f"wrote {_write('trace', write_trace, doc, args.trace_out)}")
-        print("open it in ui.perfetto.dev or chrome://tracing")
+        lines.append(f"wrote {_write('trace', write_trace, doc, args.trace_out)}")
+        lines.append("open it in ui.perfetto.dev or chrome://tracing")
+    _print_lines(lines)
     return 0
 
 

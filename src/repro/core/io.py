@@ -10,9 +10,7 @@ corpus verification, and the serve job store sound.
 
 This helper started life inside :mod:`repro.campaign.store`; it now
 lives here so the report / fuzz / perf / serve subsystems stop
-reaching into the campaign package for a generic io utility.  The old
-``repro.campaign.store.atomic_write_text`` name remains as a
-deprecated re-export.
+reaching into the campaign package for a generic io utility.
 """
 
 from __future__ import annotations

@@ -175,8 +175,10 @@ class NocFabric(abc.ABC):
                 else self.sim.now
             )
             exchange_uid = getattr(packet.payload, "exchange_uid", None)
+            # Named by this fabric's delivery count, not the process-wide
+            # ``Packet.uid``, so a run's trace is the same in any process.
             _obs.sink.complete_span(
-                f"pkt:{packet.uid}",
+                f"pkt:{self.stats.delivered}",
                 packet.msg_type.value,
                 injected,
                 self.sim.now,

@@ -20,8 +20,9 @@ The ``serve`` suite tracks the simulation service (repro.serve, see
 docs/SERVICE.md): cold submission latency (server start + submit +
 execute + stream), warm-cache submission latency, and a small
 sustained storm of concurrent deduped clients.  Serve benchmarks
-install the service's own streaming sink, so — like
-``obs.overhead_on`` — they declare no counters and never profile.
+declare no counters and never profile: their jobs run on the server's
+lane threads, outside the context the harness installs its sink in, so
+a counted or profiled repetition would see none of the job's work.
 """
 
 from __future__ import annotations
@@ -278,8 +279,9 @@ async def _serve_session(store_root, body):
     params={"base_seed": 11},
     suites=("serve",),
     description="One cold submission end to end: server start, POST "
-    "/submit, campaign execution, streamed completion.  Installs the "
-    "service's streaming sink, so no counters/profile.",
+    "/submit, campaign execution, streamed completion.  The job runs on "
+    "a lane thread, outside the harness's sink context, so no "
+    "counters/profile.",
 )
 def _serve_submit_cold(base_seed):
     import asyncio

@@ -181,12 +181,13 @@ async def _loadtest(args: argparse.Namespace) -> int:
     finally:
         if server is not None:
             await server.close()
-    print(format_load_report(report))
+    lines = [format_load_report(report)]
     if args.json:
         Path(args.json).write_text(
             json.dumps(report, indent=2, sort_keys=True) + "\n"
         )
-        print(f"wrote {args.json}")
+        lines.append(f"wrote {args.json}")
+    print("\n".join(lines))
     dropped = report["dropped_jobs"] + report["request_errors"]
     return 0 if dropped == 0 else 1
 

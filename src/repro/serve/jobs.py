@@ -12,15 +12,19 @@ Dedupe contract (docs/SERVICE.md):
    job without ever touching the executor.
 3. Only a genuinely new job reaches the priority queue.
 
+A cold run's result and a warm answer are built the same way, so they
+have the same keys: a campaign's unit counts, or ``_scenario_result``
+over a scenario's stored ``result.json`` (counters included), which
+makes a scenario's warm answer equal its cold one.
+
 Execution runs on **N parallel lanes** (``lanes=1`` by default): N
 asyncio lane tasks pull from one shared priority heap and hand jobs to
-a thread pool of the same width.  Each lane thread scopes its own sink
-through the context-local observability runtime (``repro.obs.runtime``
-resolves ``sink`` per thread): a campaign job installs a
-``StreamingSink``, a scenario job its ``MonitorSet``, whose monitors
-publish each alert frame as they emit it.  Concurrent jobs therefore
-stream independently without cross-talk — the per-process single-sink
-limit that used to force ``max_workers=1`` is gone.  Dedupe and the
+a thread pool of the same width.  A campaign job runs with no
+observability sink and streams one ``progress`` frame per unit; a
+scenario job installs its ``MonitorSet`` in its lane thread's own
+context (``repro.obs.runtime`` resolves ``sink`` per thread), and its
+monitors publish each alert frame as they emit it.  Concurrent jobs
+therefore stream independently without cross-talk.  Dedupe and the
 warm cache still do the heavy lifting for identical traffic; lanes add
 overlap for *distinct* jobs (blocking store I/O, and real CPU
 parallelism when campaign specs fan units out to worker processes).
@@ -48,11 +52,9 @@ from repro.core.io import atomic_write_text
 from repro.fuzz.oracles import Execution, execute_scenario
 from repro.fuzz.scenario import Scenario
 from repro.obs.monitor import Alert
-from repro.obs.runtime import install as obs_install
-from repro.obs.runtime import uninstall as obs_uninstall
 from repro.report.run_report import scenario_report, write_run_report
 from repro.serve.protocol import ServeConflict, Submission
-from repro.serve.stream import JobLog, StreamingSink
+from repro.serve.stream import JobLog
 from repro.serve.telemetry import ServiceTelemetry
 
 __all__ = ["Job", "JobQueue", "ScenarioStore"]
@@ -65,6 +67,19 @@ _TERMINAL = frozenset({"done", "cached", "failed", "cancelled"})
 
 #: Directory characters, matching the campaign store's spec dirs.
 _DIR_HASH_CHARS = 16
+
+
+def _campaign_result(
+    spec_hash: str, total: int, cached: int, executed: int
+) -> Dict[str, Any]:
+    """A campaign job's result, cold (from the run) or warm (manifest)."""
+    return {
+        "kind": "campaign",
+        "spec_hash": spec_hash,
+        "total": total,
+        "cached": cached,
+        "executed": executed,
+    }
 
 
 class ScenarioStore:
@@ -405,13 +420,8 @@ class JobQueue:
                 or not self.store.report_path(spec).exists()
             ):
                 return None
-            return {
-                "kind": "campaign",
-                "spec_hash": spec.spec_hash,
-                "total": int(manifest.get("total", 0)),
-                "cached": int(manifest.get("total", 0)),
-                "executed": 0,
-            }
+            total = int(manifest.get("total", 0))
+            return _campaign_result(spec.spec_hash, total, total, 0)
         doc = self.scenarios.load(submission.content_hash)
         if doc is None:
             return None
@@ -427,6 +437,7 @@ class JobQueue:
             "fingerprint": doc["fingerprint"],
             "alerts": len(doc.get("alerts", [])),
             "failures": len(doc.get("failures", [])),
+            "counters": doc.get("counters", {}),
         }
         if submission.kind == "bundle":
             expected = submission.expected_fingerprint
@@ -517,20 +528,8 @@ class JobQueue:
                 }
             )
 
-        streamer = StreamingSink(publish)
-        obs_install(streamer)
-        try:
-            run = run_campaign(spec, store=self.store, progress=progress)
-        finally:
-            obs_uninstall()
-        return {
-            "kind": "campaign",
-            "spec_hash": spec.spec_hash,
-            "total": run.total,
-            "cached": run.cached,
-            "executed": run.executed,
-            "counters": dict(streamer.totals),
-        }
+        run = run_campaign(spec, store=self.store, progress=progress)
+        return _campaign_result(spec.spec_hash, run.total, run.cached, run.executed)
 
     def _execute_scenario(self, job: Job) -> Dict[str, Any]:
         scenario = job.submission.scenario
@@ -542,6 +541,4 @@ class JobQueue:
 
         execution = execute_scenario(scenario, on_alert=on_alert)
         doc = self.scenarios.save(scenario, execution)
-        result = self._scenario_result(job.submission, doc)
-        result["counters"] = dict(execution.counters)
-        return result
+        return self._scenario_result(job.submission, doc)

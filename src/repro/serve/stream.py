@@ -1,8 +1,11 @@
-"""Live job streaming: campaign counter frames plus a broadcast frame log.
+"""Live job streaming: a per-job, replayable frame log.
 
-Alert frames do not pass through here: a scenario job hands
-``execute_scenario`` an ``on_alert`` callback, and each monitor calls
-it the moment it emits an alert, so alert frames are published in
+A job's stream is a ``job`` frame, its ``state`` frames, what the run
+publishes, and a final ``done`` frame.  A campaign job runs with no
+observability sink installed and publishes one ``progress`` frame per
+unit from :func:`run_campaign`'s progress callback.  A scenario job
+hands ``execute_scenario`` an ``on_alert`` callback, and each monitor
+calls it the moment it emits an alert, so alert frames are published in
 emission order.  The canonical report order is a *stable* sort by
 ``(epoch, cycle, monitor)`` — the same key :meth:`MonitorSet.alerts`
 uses — and stable sorting preserves each monitor's emission order, so
@@ -10,16 +13,8 @@ sorting the streamed alerts by that key reproduces the frozen
 RunReport's alert list byte-for-byte.  That is the streamed ≡ stored
 contract docs/SERVICE.md documents and CI diffs.
 
-``StreamingSink`` is the sink a campaign job installs.  It forwards
-nothing: only the ``campaign.*`` counter and gauge family (a few
-frames per unit) streams live, and every other counter accumulates
-into ``totals`` for the final ``done`` frame, so a 100k-cycle engine
-run doesn't emit 100k frames.  It observes and never schedules, so the
-obs-on ≡ obs-off bit-identity the repo asserts everywhere still holds
-under streaming.
-
-``JobLog`` is the asyncio side: a per-job frame history plus subscriber
-queues, mutated only on the event loop (worker threads go through
+``JobLog`` keeps a per-job frame history plus subscriber queues,
+mutated only on the event loop (worker threads go through
 :meth:`JobLog.publish_threadsafe`), so late subscribers replay the full
 history and a finished job's stream is complete and immutable.
 """
@@ -29,39 +24,9 @@ from __future__ import annotations
 import asyncio
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.obs.sink import Number, ObsSink
-
-__all__ = ["JobLog", "StreamingSink"]
-
-#: The counter/gauge family streamed live; everything else only totals.
-STREAMED_PREFIX = "campaign."
+__all__ = ["JobLog"]
 
 PublishFn = Callable[[Dict[str, Any]], None]
-
-
-class StreamingSink(ObsSink):
-    """Publish ``campaign.*`` counter/gauge frames; total every counter."""
-
-    def __init__(self, publish: PublishFn) -> None:
-        self._publish = publish
-        #: Final totals for every counter seen, streamed or not.
-        self.totals: Dict[str, int] = {}
-
-    def inc(self, name: str, time: int, n: int = 1, **labels: object) -> None:
-        total = self.totals.get(name, 0) + n
-        self.totals[name] = total
-        if name.startswith(STREAMED_PREFIX):
-            self._publish(
-                {"type": "counter", "name": name, "time": time, "total": total}
-            )
-
-    def set_gauge(
-        self, name: str, time: int, value: Number, **labels: object
-    ) -> None:
-        if name.startswith(STREAMED_PREFIX):
-            self._publish(
-                {"type": "gauge", "name": name, "time": time, "value": value}
-            )
 
 
 class JobLog:

@@ -77,6 +77,13 @@ class _HeadOneStdout(io.StringIO):
         return self._fileno
 
 
+class _ClosedStdout(_HeadOneStdout):
+    """A stdout whose reader has already gone: every write raises."""
+
+    def write(self, text: str) -> int:
+        raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+
 class TestCommands:
     def test_soc_run_prints_summary(self, capsys):
         rc = main(
@@ -162,3 +169,35 @@ class TestCommands:
         assert rc == 1
         assert out.exists()
         assert "cannot write" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, files",
+        [
+            (
+                ["report", "convergence", "--dim", "3", "--trials", "1",
+                 "--out", "r.json", "--html", "r.html"],
+                ["r.json", "r.html"],
+            ),
+            (
+                ["soc-run", "--trace-out", "tdir"],
+                ["tdir/trace.json", "tdir/events.jsonl", "tdir/summary.txt"],
+            ),
+            (
+                ["convergence", "--dim", "3", "--trials", "1",
+                 "--trace-out", "tdir"],
+                ["tdir/trace.json", "tdir/events.jsonl", "tdir/summary.txt"],
+            ),
+        ],
+        ids=["report-html", "soc-run-trace-out", "convergence-trace-out"],
+    )
+    def test_requested_files_are_written_before_stdout_is_used(
+        self, argv, files, tmp_path, monkeypatch
+    ):
+        """With the reader gone before the first line, every file the
+        command was asked for is still written, and it exits 1."""
+        monkeypatch.chdir(tmp_path)
+        with open(tmp_path / "stdout", "w") as sink:
+            monkeypatch.setattr(sys, "stdout", _ClosedStdout(sink.fileno()))
+            rc = main(argv)
+        assert rc == 1
+        assert [f for f in files if not (tmp_path / f).is_file()] == []

@@ -67,6 +67,59 @@ class TestFaultsCommand:
         assert "faults: discarded=" in out
 
 
+class TestFaultsSweep:
+    def test_sweep_prints_the_sweep_table(self, capsys):
+        from repro.experiments import fault_sweep
+
+        rc, out, err = run_cli(
+            capsys, ["faults", "--sweep", "--dim", "3", "--trials", "1"]
+        )
+        assert rc == 0 and err == ""
+        rows = fault_sweep.format_rows(fault_sweep.run(d=3, trials=1))
+        assert out == "".join(f"{row}\n" for row in rows)
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--seed", "3"],
+            ["--threshold", "2.0"],
+            ["--variant", "4way"],
+            ["--rate", "0.5"],
+            ["--duplicate-rate", "0.1"],
+            ["--corrupt-rate", "0.1"],
+            ["--delay-rate", "0.1"],
+            ["--max-delay", "8"],
+            ["--kill-tile", "4"],
+            ["--kill-at", "50"],
+            ["--fault-seed", "9"],
+            ["--plan", "/no/such.json"],
+            ["--obs"],
+            ["--trace-out", "tdir"],
+        ],
+        ids=lambda flags: flags[0],
+    )
+    def test_sweep_rejects_a_flag_it_does_not_read(
+        self, flags, capsys, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        rc, out, err = run_cli(
+            capsys, ["faults", "--sweep", "--dim", "3", "--trials", "1", *flags]
+        )
+        assert rc == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert flags[0] in err
+        assert not (tmp_path / "tdir").exists()
+
+    def test_sweep_names_every_unread_flag(self, capsys):
+        rc, _, err = run_cli(
+            capsys,
+            ["faults", "--sweep", "--dim", "3", "--trials", "1",
+             "--rate", "0.5", "--plan", "/no/such.json", "--obs"],
+        )
+        assert rc == 2
+        assert all(f in err for f in ("--rate", "--plan", "--obs"))
+
+
 class TestFaultsErrorPaths:
     def test_missing_plan_file(self, capsys):
         rc, _, err = run_cli(

@@ -6,10 +6,6 @@ writes, against ``tests/fixtures/cli_golden.json``.  The CLI may be
 refactored freely, but no valid invocation may change what it prints
 or writes.
 
-``events.jsonl`` is left out: its packet span ids come from a
-process-global counter, so two identical runs in one process write
-different files.
-
 Intentional output changes regenerate the fixture with::
 
     pytest tests/test_cli_golden.py --update-golden
@@ -24,9 +20,6 @@ import pytest
 from repro.cli import main
 
 FIXTURE = Path(__file__).parent / "fixtures" / "cli_golden.json"
-
-#: Files a command writes whose bytes are not reproducible in-process.
-UNPINNED = {"events.jsonl"}
 
 CASES = {
     "convergence": ["convergence", "--dim", "4", "--trials", "2"],
@@ -58,7 +51,7 @@ def _run_case(argv, tmp_path, capsys):
             path.read_bytes()
         ).hexdigest()
         for path in sorted(tmp_path.rglob("*"))
-        if path.is_file() and path.name not in UNPINNED
+        if path.is_file()
     }
     return {"argv": list(argv), "rc": rc, "stdout": out, "files": files}
 

@@ -22,7 +22,7 @@ from repro.serve.client import ClientError, ServeClient
 from repro.serve.jobs import JobQueue
 from repro.serve.protocol import ServeError, parse_submission
 from repro.serve.server import ServeServer
-from repro.serve.stream import JobLog, StreamingSink
+from repro.serve.stream import JobLog
 
 
 def alerting_scenario(seed: int = 7) -> Scenario:
@@ -197,6 +197,7 @@ class TestDedupe:
         final = frames[-1]
         assert final["type"] == "done" and final["state"] == "cached"
         assert final["result"]["executed"] == 0
+        assert final["result"].keys() == done["result"].keys()
 
     def test_independent_runs_store_identical_bytes(self, tmp_path):
         """Two cold executions of one spec produce byte-identical artifacts."""
@@ -225,20 +226,21 @@ class TestDedupe:
         async def body(server, host, port):
             async with ServeClient(host, port) as client:
                 first = await client.submit(doc)
-                await client.wait(first["job"])
-                return first
+                return await client.wait(first["job"])
 
-        run_with_server(store_root, body)
+        cold = run_with_server(store_root, body)
 
         async def warm(server, host, port):
             async with ServeClient(host, port) as client:
                 response = await client.submit(doc)
                 stats = (await client.queue())["stats"]
-                return response, stats
+                final = await client.wait(response["job"])
+                return response, stats, final
 
-        response, stats = run_with_server(store_root, warm)
+        response, stats, final = run_with_server(store_root, warm)
         assert response["outcome"] == "cached"
         assert stats["executed"] == 0
+        assert final["result"] == cold["result"]
 
 
 # ------------------------------------------------------------------ streaming
@@ -303,27 +305,46 @@ class TestStreaming:
         assert stored["counters"]
         assert done["result"]["counters"] == stored["counters"]
 
-    def test_campaign_stream_has_progress_and_counters(self, tmp_path):
+    def test_campaign_stream_is_one_progress_frame_per_unit(self, tmp_path):
         async def body(server, host, port):
             async with ServeClient(host, port) as client:
                 response = await client.submit(smoke_doc())
                 return await client.stream_job(response["job"])
 
         frames = run_with_server(tmp_path / "store", body)
-        kinds = {frame["type"] for frame in frames}
-        assert {"job", "state", "progress", "counter", "done"} <= kinds
-        counters = [f for f in frames if f["type"] == "counter"]
-        # Only the campaign.* family streams live; engine counters
-        # appear solely as totals in the done frame.
-        assert counters and all(
-            f["name"].startswith("campaign.") for f in counters
-        )
+        assert {frame["type"] for frame in frames} == {
+            "job", "state", "progress", "done",
+        }
+        progress = [f for f in frames if f["type"] == "progress"]
+        assert [f["done"] for f in progress] == [1, 2, 3, 4]
+        assert all(f["total"] == 4 for f in progress)
         done = frames[-1]
-        assert done["result"]["counters"]["campaign.units_executed"] == 4
-        assert any(
-            not name.startswith("campaign.")
-            for name in done["result"]["counters"]
-        )
+        assert done["type"] == "done" and done["result"]["executed"] == 4
+        assert "counters" not in done["result"]
+
+    def test_campaign_job_runs_without_obs_sink(self, tmp_path, monkeypatch):
+        """No observability sink is installed while a campaign job's
+        units execute on a lane thread."""
+        import repro.campaign.executor as executor
+        from repro.obs import runtime
+
+        sinks = []
+        execute_unit = executor.execute_unit
+
+        def recording_execute_unit(spec, unit):
+            sinks.append(runtime.sink)
+            return execute_unit(spec, unit)
+
+        monkeypatch.setattr(executor, "execute_unit", recording_execute_unit)
+
+        async def body(server, host, port):
+            async with ServeClient(host, port) as client:
+                response = await client.submit(smoke_doc())
+                return await client.wait(response["job"])
+
+        done = run_with_server(tmp_path / "store", body)
+        assert done["state"] == "done"
+        assert sinks == [None] * 4
 
     def test_late_subscriber_replays_history(self, tmp_path):
         """Streaming a finished job returns its complete frame history."""
@@ -339,22 +360,7 @@ class TestStreaming:
         assert live == replay
 
 
-class TestStreamingSink:
-    def test_counter_whitelist_and_totals(self):
-        frames = []
-        sink = StreamingSink(frames.append)
-        sink.inc("campaign.units_total", 0, 4)
-        sink.inc("engine.exchanges_initiated", 10)
-        sink.inc("engine.exchanges_initiated", 20)
-        sink.set_gauge("campaign.units_remaining", 0, 3)
-        sink.set_gauge("engine.depth", 0, 9)
-        assert [f["type"] for f in frames] == ["counter", "gauge"]
-        assert frames[0]["name"] == "campaign.units_total"
-        assert sink.totals == {
-            "campaign.units_total": 4,
-            "engine.exchanges_initiated": 2,
-        }
-
+class TestJobLog:
     def test_job_log_close_is_idempotent_and_replays(self):
         async def body():
             log = JobLog(asyncio.get_running_loop())

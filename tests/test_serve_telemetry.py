@@ -417,7 +417,7 @@ class TestParallelLanes:
         """streamed ≡ stored must hold per job under 4 concurrent lanes.
 
         Four distinct alerting scenarios run at once, each lane scoping
-        its own StreamingSink/MonitorSet; every job's streamed alert
+        its own MonitorSet; every job's streamed alert
         sequence must still canonicalize to exactly its own stored
         report — no frame may leak into another job's stream.
         """
