@@ -1083,7 +1083,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 1
-    except (CliError, CampaignError, ExecutorError, ValueError) as exc:
+    except (CliError, CampaignError, ExecutorError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return rc

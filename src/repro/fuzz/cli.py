@@ -9,7 +9,9 @@
 Exit codes follow the repo convention: 0 success, 1 findings (a
 campaign that uncovered failures, a bundle that no longer reproduces,
 a corpus replay that regressed), 2 usage/environment errors — always
-one line on stderr, never a traceback.
+one line on stderr, never a traceback.  The errors (:class:`FuzzError`
+is a ``ValueError``) and a closed stdout leave through
+:func:`repro.cli.main`.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import List
 
 from repro.fuzz.campaign import fuzz_campaign, replay_corpus
 from repro.fuzz.corpus import Corpus, ReproBundle, load_bundle
@@ -64,54 +66,40 @@ def parse_seed_spec(spec: str) -> List[int]:
     return seeds
 
 
-def _fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
-
-
 # ---------------------------------------------------------------------- run
 def cmd_fuzz_run(args: argparse.Namespace) -> int:
-    try:
-        seeds = parse_seed_spec(args.seeds)
-    except FuzzError as exc:
-        return _fail(str(exc))
+    seeds = parse_seed_spec(args.seeds)
     log = print if args.verbose else None
     total_failures = 0
-    try:
-        for seed in seeds:
-            summary = fuzz_campaign(
-                seed,
-                args.budget,
-                args.corpus,
-                kind=args.kind,
-                shrink=not args.no_shrink,
-                log=log,
-            )
-            total_failures += summary.failures
-            print(
-                f"seed {seed}: {summary.executed} run, "
-                f"{summary.kept} kept, {summary.failures} failing, "
-                f"{summary.tokens} tokens total"
-            )
-            for path in summary.failure_paths:
-                print(f"  repro bundle: {path}")
-    except (FuzzError, ValueError, OSError) as exc:
-        return _fail(str(exc))
+    for seed in seeds:
+        summary = fuzz_campaign(
+            seed,
+            args.budget,
+            args.corpus,
+            kind=args.kind,
+            shrink=not args.no_shrink,
+            log=log,
+        )
+        total_failures += summary.failures
+        print(
+            f"seed {seed}: {summary.executed} run, "
+            f"{summary.kept} kept, {summary.failures} failing, "
+            f"{summary.tokens} tokens total"
+        )
+        for path in summary.failure_paths:
+            print(f"  repro bundle: {path}")
     return 1 if total_failures else 0
 
 
 # ------------------------------------------------------------------- replay
 def cmd_fuzz_replay(args: argparse.Namespace) -> int:
-    if args.bundle is None and args.corpus is None:
-        return _fail("replay needs a BUNDLE path or --corpus DIR")
-    try:
-        if args.bundle is not None:
-            return _replay_bundle(Path(args.bundle))
-        count, broken = replay_corpus(
-            args.corpus, log=print if args.verbose else None
-        )
-    except (FuzzError, OSError) as exc:
-        return _fail(str(exc))
+    if args.bundle is not None:
+        return _replay_bundle(Path(args.bundle))
+    if args.corpus is None:
+        raise FuzzError("replay needs a BUNDLE path or --corpus DIR")
+    count, broken = replay_corpus(
+        args.corpus, log=print if args.verbose else None
+    )
     if broken:
         for line in broken:
             print(f"regression: {line}", file=sys.stderr)
@@ -141,18 +129,12 @@ def _replay_bundle(path: Path) -> int:
 
 # ------------------------------------------------------------------- shrink
 def cmd_fuzz_shrink(args: argparse.Namespace) -> int:
-    try:
-        bundle = load_bundle(args.bundle)
-    except FuzzError as exc:
-        return _fail(str(exc))
-    try:
-        result = shrink_scenario(
-            bundle.scenario,
-            bundle.failure.key,
-            on_progress=print if args.verbose else None,
-        )
-    except ValueError as exc:
-        return _fail(str(exc))
+    bundle = load_bundle(args.bundle)
+    result = shrink_scenario(
+        bundle.scenario,
+        bundle.failure.key,
+        on_progress=print if args.verbose else None,
+    )
     out_path = Path(args.out) if args.out else Path(args.bundle)
     shrunk = ReproBundle(result.scenario, result.failure, result.fingerprint)
     try:
@@ -160,7 +142,7 @@ def cmd_fuzz_shrink(args: argparse.Namespace) -> int:
 
         atomic_write_text(out_path, shrunk.to_json())
     except OSError as exc:
-        return _fail(f"cannot write {out_path}: {exc}")
+        raise FuzzError(f"cannot write {out_path}: {exc}") from exc
     before = bundle.scenario.size
     after = result.scenario.size
     print(
@@ -173,10 +155,7 @@ def cmd_fuzz_shrink(args: argparse.Namespace) -> int:
 
 # ------------------------------------------------------------------- corpus
 def cmd_fuzz_corpus(args: argparse.Namespace) -> int:
-    try:
-        corpus = Corpus(args.corpus)
-    except FuzzError as exc:
-        return _fail(str(exc))
+    corpus = Corpus(args.corpus)
     stats = corpus.stats()
     print(
         f"corpus {args.corpus}: {stats['entries']} entries, "

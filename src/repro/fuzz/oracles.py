@@ -6,6 +6,9 @@ the whole verification battery armed:
 1. **Monitor oracle** — the :mod:`repro.obs.monitor` detector battery
    rides the sink path; any ``error``-severity :class:`Alert`
    (starvation, budget overshoot, reconcile backlog) is a failure.
+   A :class:`~repro.obs.monitor.CounterTap` rides in the same
+   :class:`MonitorSet` and totals the counters coverage buckets
+   (``Execution.counters``).
 2. **Sanitizer oracle** — the run executes with
    ``BlitzCoinConfig(sanitize=True)`` (the ``BLITZCOIN_SANITIZE=1``
    checker), so per-event coin/packet conservation violations raise
@@ -51,6 +54,7 @@ from repro.noc.behavioral import BehavioralNoc
 from repro.noc.topology import MeshTopology
 from repro.obs.monitor import (
     Alert,
+    CounterTap,
     Monitor,
     MonitorSet,
     default_monitors,
@@ -136,26 +140,6 @@ class FuzzOutcome:
     @property
     def failure_keys(self) -> Tuple[str, ...]:
         return tuple(f.key for f in self.failures)
-
-
-class CounterTap(Monitor):
-    """Observe-only monitor that tallies every sink counter increment.
-
-    This is the fuzzer's "kernel phase mix" signal: which engine/exec
-    counters fired, and roughly how often, without touching simulator
-    behavior (it rides the same sink path as the detector battery).
-    """
-
-    name = "counter_tap"
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.counts: Dict[str, int] = {}
-
-    def on_inc(
-        self, name: str, time: int, n: int, labels: Mapping[str, object]
-    ) -> None:
-        self.counts[name] = self.counts.get(name, 0) + n
 
 
 # ------------------------------------------------------------------ monitors

@@ -39,6 +39,7 @@ from repro.obs.monitor import (
     Alert,
     BudgetOvershootMonitor,
     ConvergenceStallMonitor,
+    CounterTap,
     Monitor,
     MonitorSet,
     OscillationMonitor,
@@ -56,6 +57,7 @@ __all__ = [
     "BudgetOvershootMonitor",
     "ConvergenceStallMonitor",
     "Counter",
+    "CounterTap",
     "Gauge",
     "Histogram",
     "InstantEvent",

@@ -24,6 +24,9 @@ The built-in detectors watch the paper's dynamic-behaviour claims:
 * :class:`ReconcileBacklogMonitor` — lost-coin reconciliation falling
   behind under fault injection (the ledger liveness claim).
 
+:class:`CounterTap` judges nothing: it totals counter increments by
+name, for callers that want counter totals without keeping a trace.
+
 All state lives in plain lists/dicts keyed by tile id and is iterated
 in sorted order, so monitor bookkeeping obeys blitzlint rule D1 like
 the simulator it watches.
@@ -40,6 +43,7 @@ __all__ = [
     "Alert",
     "BudgetOvershootMonitor",
     "ConvergenceStallMonitor",
+    "CounterTap",
     "Monitor",
     "MonitorSet",
     "OscillationMonitor",
@@ -541,6 +545,29 @@ def default_monitors(
         ]
     )
     return monitors
+
+
+class CounterTap(Monitor):
+    """Observe-only monitor that totals every counter increment by name.
+
+    Label sets are summed, so ``counts[name]`` is the counter's
+    aggregate over all of them.  It judges nothing and keeps no trace,
+    so ``MonitorSet([CounterTap()])`` is the cheap way to read counter
+    totals: the bench harness's counted repetition, the fuzzer's
+    coverage signal and a served scenario's ``done`` counters all come
+    from one.
+    """
+
+    name = "counter_tap"
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.counts: Dict[str, int] = {}
+
+    def on_inc(
+        self, name: str, time: int, n: int, labels: Mapping[str, object]
+    ) -> None:
+        self.counts[name] = self.counts.get(name, 0) + n
 
 
 class MonitorSet(ObsSink):

@@ -26,7 +26,6 @@ from repro.perf.artifact import (
 from repro.perf.harness import (
     BenchResult,
     call_benchmark,
-    counter_total,
     exact_quantile,
     peak_rss_kb,
     run_benchmark,
@@ -63,7 +62,6 @@ __all__ = [
     "call_benchmark",
     "classify_site",
     "compare_bench_artifacts",
-    "counter_total",
     "env_fingerprint",
     "exact_quantile",
     "flat_bench_metrics",

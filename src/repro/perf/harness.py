@@ -7,12 +7,12 @@ repetition wall seconds, exact min/median/p90/mean stats, the peak RSS
 of those repetitions and any deterministic result metrics the benchmark
 returns.  Timed repetitions run with no observability sink installed.
 A benchmark that declares counters gets one extra untimed repetition
-under a fresh :class:`~repro.obs.sink.Observation`, whose counter
-totals are snapshotted; one that declares ``profile=True`` can get one
-more under :class:`~repro.perf.phase.PhaseProfiler`.  Every repetition
-goes through :func:`call_benchmark`.  :func:`run_suite_benchmarks` runs
-each benchmark in its own forked child process, so the peak RSS it
-reports is that benchmark's own.
+under ``MonitorSet([CounterTap()])``, which totals each counter over
+its label sets and keeps no trace; one that declares ``profile=True``
+can get one more under :class:`~repro.perf.phase.PhaseProfiler`.
+Every repetition goes through :func:`call_benchmark`.
+:func:`run_suite_benchmarks` runs each benchmark in its own forked
+child process, so the peak RSS it reports is that benchmark's own.
 
 The split the artifact layer depends on: everything wall-clock-derived
 (times, RSS, phase attribution) is *timing*; everything else (name,
@@ -34,36 +34,20 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, ContextManager, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.obs.metrics import Counter
+from repro.obs.monitor import CounterTap, MonitorSet
 from repro.obs.runtime import observing
-from repro.obs.sink import Observation
 from repro.perf.phase import PhaseProfiler
 from repro.perf.registry import Benchmark, PerfError
 
 __all__ = [
     "BenchResult",
     "call_benchmark",
-    "counter_total",
     "exact_quantile",
     "peak_rss_kb",
     "run_benchmark",
     "run_suite_benchmarks",
     "wall_stats",
 ]
-
-
-def counter_total(session: Observation, name: str) -> int:
-    """Counter total for ``name`` summed across all label sets.
-
-    ``registry.value(name)`` only sees the unlabeled instrument; sites
-    like the campaign executor label their counters, and a benchmark
-    snapshot wants the aggregate regardless.
-    """
-    total = 0
-    for instrument in session.registry.instruments():
-        if isinstance(instrument, Counter) and instrument.name == name:
-            total += instrument.total
-    return total
 
 
 def peak_rss_kb() -> int:
@@ -242,14 +226,12 @@ def run_benchmark(
 
     counters: Dict[str, int] = {}
     if bench.counters:
-        # Counting costs a full Observation sink (3-5x the wall time),
-        # so it gets its own untimed rep and a fresh session.
-        session = Observation(bench.name)
-        _, value = call_benchmark(bench, observing(session))
+        # Counting through the sink path costs about 2x the wall time,
+        # so it gets its own untimed rep.
+        tap = CounterTap()
+        _, value = call_benchmark(bench, observing(MonitorSet([tap])))
         metrics = _same_metrics(bench.name, metrics, value)
-        counters = {
-            name: counter_total(session, name) for name in bench.counters
-        }
+        counters = {name: tap.counts.get(name, 0) for name in bench.counters}
 
     phases: Dict[str, float] = {}
     profile_total = 0.0

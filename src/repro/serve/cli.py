@@ -10,7 +10,9 @@
 
 Exit codes follow the repo convention: 0 success, 1 findings (a job
 that failed, a load test that dropped work), 2 usage/environment
-errors — always one line on stderr, never a traceback.
+errors — always one line on stderr, never a traceback.  The errors
+(:class:`~repro.serve.protocol.ServeError` is a ``ValueError``) and a
+closed stdout leave through :func:`repro.cli.main`.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from pathlib import Path
 from repro.campaign.store import CampaignStore
 from repro.serve.client import ServeClient
 from repro.serve.loadgen import format_load_report, run_load
-from repro.serve.protocol import ServeError
 from repro.serve.server import ServeServer
 
 __all__ = [
@@ -46,9 +47,6 @@ DEFAULT_SERVE_STORE = ".blitzcoin-campaigns"
 def _run(coro) -> int:  # type: ignore[no-untyped-def]
     try:
         return asyncio.run(coro)
-    except (ServeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except KeyboardInterrupt:
         return 0
 

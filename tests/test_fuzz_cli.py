@@ -8,6 +8,7 @@ in place.
 """
 
 import json
+import sys
 
 import pytest
 
@@ -16,6 +17,7 @@ from repro.fuzz.cli import parse_seed_spec
 from repro.fuzz.corpus import ReproBundle
 from repro.fuzz.oracles import run_oracles
 from repro.fuzz.scenario import FuzzError, Scenario, SocSection
+from tests.test_cli import _ClosedStdout
 
 
 def run_cli(capsys, argv):
@@ -120,6 +122,18 @@ class TestErrorPaths:
         assert rc == 2
         assert err.count("\n") == 1
         assert "corrupt" in err
+
+    def test_closed_stdout_stops_quietly(self, capsys, tmp_path, monkeypatch):
+        """A reader that leaves early is not an error: exit 1, no
+        stderr, as for every other command."""
+        with open(tmp_path / "stdout", "w") as sink:
+            monkeypatch.setattr(sys, "stdout", _ClosedStdout(sink.fileno()))
+            rc = main(
+                ["fuzz", "run", "--seeds", "0", "--budget", "1",
+                 "--corpus", str(tmp_path / "c")]
+            )
+        assert rc == 1
+        assert capsys.readouterr().err == ""
 
     def test_replay_without_target_is_rc2(self, capsys):
         rc, out, err = run_cli(capsys, ["fuzz", "replay"])

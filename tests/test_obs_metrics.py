@@ -1,5 +1,9 @@
 """Tests for the repro.obs metrics registry."""
 
+import ast
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.obs.metrics import (
@@ -216,3 +220,59 @@ class TestMetricsRegistry:
         assert len(r) == 0
         r.inc("a", 0)
         assert len(r) == 1
+
+
+# --------------------------------------------------------------- name pinning
+REPO = Path(__file__).resolve().parent.parent
+#: Sink/registry methods whose first argument is a metric name.
+METRIC_METHODS = ("inc", "set_gauge", "observe", "sample", "histogram")
+METRIC_DOCS = ("docs/OBSERVABILITY.md", "docs/SERVICE.md")
+
+
+def _metric_names():
+    """name -> first ``path:line`` of every literal metric name in src."""
+    names = {}
+    for path in sorted((REPO / "src" / "repro").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in METRIC_METHODS
+                and node.args
+                and isinstance(node.args[0], ast.Constant)
+                and isinstance(node.args[0].value, str)
+            ):
+                where = f"{path.relative_to(REPO)}:{node.lineno}"
+                names.setdefault(node.args[0].value, where)
+    return names
+
+
+def _documented(name, docs, prefixes):
+    """Verbatim, in Prometheus form, or under a ``prefix.*`` row."""
+    verbatim = r"(?<![\w.])" + re.escape(name) + r"(?![\w]|\.\w)"
+    prometheus = (
+        r"(?<![\w.])"
+        + re.escape(name.replace(".", "_"))
+        + r"(?:_total|_bucket|_sum|_count)?(?!\w)"
+    )
+    return (
+        re.search(verbatim, docs) is not None
+        or re.search(prometheus, docs) is not None
+        or any(name.startswith(prefix + ".") for prefix in prefixes)
+    )
+
+
+class TestMetricNamesArePinned:
+    def test_every_metric_name_in_src_is_documented(self):
+        names = _metric_names()
+        # The scan sees sink counters and the service's own registry.
+        assert "engine.exchanges_initiated" in names
+        assert "serve.request_ms" in names
+        docs = "\n".join((REPO / doc).read_text() for doc in METRIC_DOCS)
+        prefixes = re.findall(r"`([a-z_][\w.]*)\.\*`", docs)
+        missing = sorted(
+            f"{name} ({where})"
+            for name, where in names.items()
+            if not _documented(name, docs, prefixes)
+        )
+        assert missing == [], f"undocumented metric names: {missing}"

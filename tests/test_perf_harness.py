@@ -5,7 +5,6 @@ import os
 import pytest
 
 from repro.perf.harness import (
-    counter_total,
     exact_quantile,
     peak_rss_kb,
     run_benchmark,
@@ -176,15 +175,42 @@ class TestRunBenchmark:
         assert r1.counters["engine.exchanges_initiated"] > 0
 
     def test_labeled_counters_aggregate(self):
+        import repro.obs.runtime as obs_runtime
+
+        def body():
+            sink = obs_runtime.sink
+            if sink is not None:
+                sink.inc("x.total", 0, n=2, campaign="a")
+                sink.inc("x.total", 0, n=3, campaign="b")
+                sink.inc("y.total", 0, n=5)
+
+        b = Benchmark(
+            name="b", run=body, counters=("x.total", "y.total", "absent")
+        )
+        assert run_benchmark(b, reps=1, warmup=0).counters == {
+            "x.total": 5,
+            "y.total": 5,
+            "absent": 0,
+        }
+
+    def test_counted_rep_keeps_no_trace(self):
+        """Counting installs a tap, not an Observation that would keep
+        every span, event and sample of the counted rep."""
+        import repro.obs.runtime as obs_runtime
         from repro.obs.sink import Observation
 
-        session = Observation("t")
-        session.inc("x.total", 0, n=2, campaign="a")
-        session.inc("x.total", 0, n=3, campaign="b")
-        session.inc("y.total", 0, n=5)
-        assert counter_total(session, "x.total") == 5
-        assert counter_total(session, "y.total") == 5
-        assert counter_total(session, "absent") == 0
+        sinks = []
+
+        def body():
+            sinks.append(obs_runtime.sink)
+
+        b = Benchmark(name="b", run=body, counters=("x.total",))
+        run_benchmark(b, reps=2, warmup=0)
+        timed, counted = sinks[:2], sinks[2]
+        assert timed == [None, None]
+        assert counted is not None
+        assert not isinstance(counted, Observation)
+        assert getattr(counted, "observation", None) is None
 
     def test_profile_rep_only_when_requested_and_allowed(self):
         from repro.core.config import preferred_embodiment

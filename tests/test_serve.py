@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import asyncio
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
 from repro.campaign.presets import get_preset
+from repro.cli import main
 from repro.campaign.store import CampaignStore
 from repro.fuzz.scenario import EngineSection, Scenario
 from repro.report.run_report import load_run_report
@@ -23,6 +25,7 @@ from repro.serve.jobs import JobQueue
 from repro.serve.protocol import ServeError, parse_submission
 from repro.serve.server import ServeServer
 from repro.serve.stream import JobLog
+from tests.test_cli import _ClosedStdout
 
 
 def alerting_scenario(seed: int = 7) -> Scenario:
@@ -586,3 +589,21 @@ class TestRunArtifacts:
         frames = [json.loads(line) for line in text.splitlines() if line]
         assert frames[0]["type"] == "job"
         assert frames[-1]["type"] == "done"
+
+
+# ------------------------------------------------------------------------ cli
+class TestCli:
+    def test_closed_stdout_stops_quietly(self, tmp_path, capsys, monkeypatch):
+        """A reader that leaves early is not an error: exit 1, no
+        stderr, as for every other command."""
+
+        async def body(server, host, port):
+            return await asyncio.to_thread(
+                main, ["serve", "get", "/queue", "--port", str(port)]
+            )
+
+        with open(tmp_path / "stdout", "w") as sink:
+            monkeypatch.setattr(sys, "stdout", _ClosedStdout(sink.fileno()))
+            rc = run_with_server(tmp_path / "store", body)
+        assert rc == 1
+        assert capsys.readouterr().err == ""
