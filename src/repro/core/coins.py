@@ -65,7 +65,7 @@ class ExchangeResult:
     @property
     def is_zero(self) -> bool:
         """True when no coins moved (drives the dynamic-timing back-off)."""
-        return all(d == 0 for d in self.deltas)
+        return not any(self.deltas)
 
 
 def _rounded_share(total: int, weight: int, sum_weights: int) -> int:
@@ -102,45 +102,45 @@ def _fair_pair_targets(
     """
     sum_max = i.max + j.max
     total = i.has + j.has
-    base_i = (total * i.max) // sum_max
-    base_j = (total * j.max) // sum_max
+    # The fair share of tile t is alpha * max_t with alpha = total /
+    # sum_max; scaled by sum_max it is the exact integer total * max_t.
+    fair_i = total * i.max
+    fair_j = total * j.max
+    base_i = fair_i // sum_max
+    base_j = fair_j // sum_max
     rem = total - base_i - base_j
     if rem == 0:
         return base_i, base_j
-    cand_a = (base_i + rem, base_j)
-    cand_b = (base_i, base_j + rem)
-
-    def pair_error(cand: Tuple[int, int]) -> int:
-        # The fair share of tile t is alpha * max_t with
-        # alpha = total / sum_max; scaling the error by sum_max keeps
-        # the comparison in exact integer arithmetic (rule C1):
-        # |cand_t - alpha * max_t| * sum_max == |cand_t * sum_max -
-        # total * max_t|.
-        return abs(cand[0] * sum_max - total * i.max) + abs(
-            cand[1] * sum_max - total * j.max
-        )
-
-    def movement(cand: Tuple[int, int]) -> int:
-        return abs(cand[0] - i.has)
-
-    err_a, err_b = pair_error(cand_a), pair_error(cand_b)
+    # Candidate a gives the remainder to i, candidate b gives it to j.
+    # Scaling the error by sum_max keeps the comparison in exact integer
+    # arithmetic (rule C1): |cand_t - alpha * max_t| * sum_max ==
+    # |cand_t * sum_max - total * max_t|.
+    err_a = abs((base_i + rem) * sum_max - fair_i) + abs(
+        base_j * sum_max - fair_j
+    )
+    err_b = abs(base_i * sum_max - fair_i) + abs(
+        (base_j + rem) * sum_max - fair_j
+    )
     if err_a < err_b:
-        return cand_a
+        return base_i + rem, base_j
     if err_b < err_a:
-        return cand_b
+        return base_i, base_j + rem
     # Equal-error tie.  Normally prefer the low-movement candidate (a
     # converged pair stays a fixed point, so dynamic timing can back
     # off).  Under ``shake`` prefer the *moving* candidate: one-coin
     # residues then hop between equal-error states and can meet and
     # annihilate opposite residues elsewhere — the endgame transport
-    # that pure fixed-point rounding freezes out.
+    # that pure fixed-point rounding freezes out.  A candidate's
+    # movement is how far it moves i's count.
+    move_a = abs(base_i + rem - i.has)
+    move_b = abs(base_i - i.has)
     if shake:
-        if movement(cand_a) >= movement(cand_b):
-            return cand_a
-        return cand_b
-    if movement(cand_a) <= movement(cand_b):
-        return cand_a
-    return cand_b
+        if move_a >= move_b:
+            return base_i + rem, base_j
+        return base_i, base_j + rem
+    if move_a <= move_b:
+        return base_i + rem, base_j
+    return base_i, base_j + rem
 
 
 def pairwise_exchange(

@@ -43,6 +43,14 @@ from repro.obs import runtime as _obs
 from repro.sim.kernel import Event, Simulator
 
 
+#: The exchange's message classes, bound once per process: on CPython
+#: 3.11, whose ``EnumType`` defines ``__getattr__``, every
+#: ``MessageType.X`` lookup takes the slow attribute path.
+_COIN_REQUEST = MessageType.COIN_REQUEST
+_COIN_STATUS = MessageType.COIN_STATUS
+_COIN_UPDATE = MessageType.COIN_UPDATE
+
+
 class EngineError(RuntimeError):
     """Raised when the engine detects a broken invariant."""
 
@@ -172,14 +180,24 @@ class CoinExchangeEngine:
         self.tracker = ErrorTracker(
             initial_has, max_by_tile, self.pool, config.convergence_threshold
         )
+        #: A delivered COIN_STATUS goes straight to the mode's handler.
+        self._status_handler: Callable[[Packet], None] = (
+            self._serve_one_way
+            if config.mode is ExchangeMode.ONE_WAY
+            else self._collect_four_way
+        )
         self.fsm: Dict[int, _TileFsm] = {}
+        # Random-pairing candidates: every managed tile except the tile
+        # itself and its torus neighbours (the shift register of Section
+        # III-E).  Each tile copies one id-ordered list, so all of them
+        # share its int objects instead of holding N copies each.
+        pairing_order = sorted(managed_set)
         for tid in self.managed:
             neigh = self._managed_neighbors(tid, managed_set)
-            non_neigh = [
-                t
-                for t in self.topology.non_neighbors(tid)
-                if t in managed_set
-            ]
+            non_neigh = pairing_order.copy()
+            for t in [tid, *self.topology.torus_neighbors(tid)]:
+                if t in managed_set:
+                    non_neigh.remove(t)
             self.fsm[tid] = _TileFsm(
                 tid=tid,
                 coins=TileCoins(initial_has[tid], max_by_tile[tid]),
@@ -309,7 +327,7 @@ class CoinExchangeEngine:
                 Packet(
                     src=tid,
                     dst=partner,
-                    msg_type=MessageType.COIN_STATUS,
+                    msg_type=_COIN_STATUS,
                     payload=_StatusPayload(
                         fsm.coins.has,
                         fsm.coins.max,
@@ -345,7 +363,7 @@ class CoinExchangeEngine:
                     Packet(
                         src=tid,
                         dst=nb,
-                        msg_type=MessageType.COIN_REQUEST,
+                        msg_type=_COIN_REQUEST,
                         payload=_RequestPayload(uid),
                     )
                 )
@@ -418,7 +436,10 @@ class CoinExchangeEngine:
         neighbors' holdings (last status seen from each), which is what
         the hardware can know locally.
         """
-        cap = self.cap_overrides.get(tid, self.config.cap_for(tid))
+        caps = self.config.thermal_caps
+        cap = self.cap_overrides.get(
+            tid, None if caps is None else caps.get(tid)
+        )
         hotspot = self.config.hotspot_neighborhood_cap
         if hotspot is None:
             return cap
@@ -452,11 +473,12 @@ class CoinExchangeEngine:
 
     # ------------------------------------------------------------ reception
     def _on_packet(self, packet: Packet) -> None:
-        if packet.msg_type is MessageType.COIN_STATUS:
-            self._on_status(packet)
-        elif packet.msg_type is MessageType.COIN_UPDATE:
+        msg_type = packet.msg_type
+        if msg_type is _COIN_STATUS:
+            self._status_handler(packet)
+        elif msg_type is _COIN_UPDATE:
             self._on_update(packet)
-        elif packet.msg_type is MessageType.COIN_REQUEST:
+        elif msg_type is _COIN_REQUEST:
             self._on_request(packet)
 
     def _on_request(self, packet: Packet) -> None:
@@ -503,16 +525,10 @@ class CoinExchangeEngine:
             Packet(
                 src=packet.dst,
                 dst=packet.src,
-                msg_type=MessageType.COIN_STATUS,
+                msg_type=_COIN_STATUS,
                 payload=payload,
             )
         )
-
-    def _on_status(self, packet: Packet) -> None:
-        if self.config.mode is ExchangeMode.ONE_WAY:
-            self._serve_one_way(packet)
-        else:
-            self._collect_four_way(packet)
 
     def _serve_one_way(self, packet: Packet) -> None:
         """1-way: we are the partner; compute, apply our delta, reply.
@@ -537,7 +553,7 @@ class CoinExchangeEngine:
                 Packet(
                     src=packet.dst,
                     dst=packet.src,
-                    msg_type=MessageType.COIN_UPDATE,
+                    msg_type=_COIN_UPDATE,
                     payload=_UpdatePayload(
                         0, False, status.exchange_uid, nack=True
                     ),
@@ -587,7 +603,7 @@ class CoinExchangeEngine:
                 Packet(
                     src=packet.dst,
                     dst=packet.src,
-                    msg_type=MessageType.COIN_UPDATE,
+                    msg_type=_COIN_UPDATE,
                     payload=_UpdatePayload(
                         delta_initiator, not result.is_zero, status.exchange_uid
                     ),
@@ -616,7 +632,7 @@ class CoinExchangeEngine:
                         Packet(
                             src=center.tid,
                             dst=nb,
-                            msg_type=MessageType.COIN_UPDATE,
+                            msg_type=_COIN_UPDATE,
                             payload=_UpdatePayload(0, False, uid, nack=True),
                         )
                     )
@@ -649,7 +665,7 @@ class CoinExchangeEngine:
                     Packet(
                         src=center.tid,
                         dst=nb,
-                        msg_type=MessageType.COIN_UPDATE,
+                        msg_type=_COIN_UPDATE,
                         payload=_UpdatePayload(delta, not result.is_zero, uid),
                     )
                 )
@@ -700,7 +716,10 @@ class CoinExchangeEngine:
             )
         if self.coin_listener is not None:
             self.coin_listener(tid, fsm.coins.has)
-        if self.stop_on_convergence and self.tracker.is_converged:
+        if (
+            self.stop_on_convergence
+            and self.tracker.converged_at is not None
+        ):
             self.sim.stop()
 
     def _finish_exchange(
@@ -957,7 +976,7 @@ class CoinExchangeEngine:
         negative delta burns surplus the same way a positive one
         re-mints a deficit.
         """
-        if packet.msg_type is not MessageType.COIN_UPDATE:
+        if packet.msg_type is not _COIN_UPDATE:
             return
         if packet.dst not in self.fsm:
             return

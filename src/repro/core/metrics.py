@@ -79,11 +79,19 @@ class ErrorTracker:
 
     # ------------------------------------------------------------- updates
     def update_has(self, tid: int, new_has: int, now: int) -> None:
-        """Apply a coin-count change and stamp convergence if crossed."""
-        self._sum_err -= self._term(tid)
-        self._has[tid] = new_has
-        self._sum_err += self._term(tid)
-        self._check(now)
+        """Apply a coin-count change and stamp convergence if crossed.
+
+        The engine's hot path: ``_term`` and ``_check`` are inlined with
+        the same float operations in the same order.
+        """
+        has = self._has
+        target = self._alpha * self._max[tid]
+        sum_err = self._sum_err - abs(has[tid] - target)
+        has[tid] = new_has
+        sum_err += abs(new_has - target)
+        self._sum_err = sum_err
+        if self.converged_at is None and sum_err / len(has) < self.threshold:
+            self.converged_at = now
 
     def update_max(self, tid: int, new_max: int, now: int) -> None:
         """Apply an activity change; alpha shifts, so recompute fully.

@@ -18,6 +18,7 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 from repro.fuzz.corpus import Corpus, ReproBundle
 from repro.fuzz.generate import generate_scenario
 from repro.fuzz.oracles import run_oracles
+from repro.fuzz.scenario import FuzzError
 from repro.fuzz.shrink import shrink_scenario
 
 __all__ = ["CampaignSummary", "fuzz_campaign", "replay_corpus"]
@@ -111,8 +112,14 @@ def replay_corpus(
     This is the CI regression mode: the committed corpus must stay
     green — any failure key returned here is a regression (or a known
     failure that should live under ``failures/``, not ``entries/``).
+    A directory without a ``manifest.json`` raises :class:`FuzzError`:
+    replaying it would pass with nothing replayed.
     """
     corpus = Corpus(corpus_root)
+    if not corpus.manifest.is_file():
+        raise FuzzError(
+            f"no fuzz corpus at {corpus_root}: {corpus.manifest} is missing"
+        )
     say = log if log is not None else (lambda _msg: None)
     broken: List[str] = []
     count = 0

@@ -100,9 +100,10 @@ class Corpus:
         self.entries: Dict[str, Dict[str, Any]] = {}
         self.failures: Dict[str, Dict[str, Any]] = {}
         self.seen_tokens: Set[str] = set()
-        manifest = self.root / "manifest.json"
-        if manifest.exists():
-            self._load_manifest(manifest)
+        #: The campaign ledger; a directory without one is a new corpus.
+        self.manifest = self.root / "manifest.json"
+        if self.manifest.exists():
+            self._load_manifest(self.manifest)
 
     # ------------------------------------------------------------------ load
     def _load_manifest(self, path: Path) -> None:
@@ -185,8 +186,7 @@ class Corpus:
             "failures": {d: self.failures[d] for d in sorted(self.failures)},
         }
         atomic_write_text(
-            self.root / "manifest.json",
-            json.dumps(doc, indent=2, sort_keys=True) + "\n",
+            self.manifest, json.dumps(doc, indent=2, sort_keys=True) + "\n"
         )
 
     # ----------------------------------------------------------------- stats

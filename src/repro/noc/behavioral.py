@@ -34,11 +34,10 @@ class BehavioralNoc(NocFabric):
         self.hop_cycles = hop_cycles
         self.router_delay = router_delay
 
-    def latency(self, src: int, dst: int, size_flits: int = 1) -> int:
-        """Deterministic delivery latency, in cycles, for ``src -> dst``."""
-        hops = self.topology.hop_distance(src, dst)
-        return self.router_delay + hops * self.hop_cycles + (size_flits - 1)
-
     def _transport(self, packet: Packet) -> None:
-        delay = self.latency(packet.src, packet.dst, packet.size_flits)
-        self.sim.schedule(delay, lambda p=packet: self._deliver(p))
+        self.sim.schedule(
+            self.router_delay
+            + packet.hops * self.hop_cycles
+            + (packet.size_flits - 1),
+            lambda p=packet: self._deliver(p),
+        )

@@ -71,15 +71,25 @@ class NocFabric(abc.ABC):
         self._loss_listeners.append(listener)
 
     def send(self, packet: Packet) -> None:
-        """Inject ``packet`` at its source tile."""
-        self.topology._check(packet.src)
-        self.topology._check(packet.dst)
-        packet.injected_at = self.sim.now
-        self.stats.on_inject(packet)
+        """Inject ``packet`` at its source tile.
+
+        Stamps the injection cycle and the packet's mesh hop count,
+        which transport and delivery read back.  The hop-count lookup
+        raises :class:`~repro.noc.topology.TopologyError` for an
+        endpoint outside the grid, before any accounting.
+        """
+        packet.hops = self.topology.hop_distance(packet.src, packet.dst)
+        now = self.sim.now
+        packet.injected_at = now
+        stats = self.stats
+        stats.injected += 1
+        # ``_value_`` is the member's value, read without the
+        # ``Enum.value`` descriptor call.
+        kind = packet.msg_type._value_
+        by_type = stats.by_type
+        by_type[kind] = by_type.get(kind, 0) + 1
         if _obs.sink is not None:
-            _obs.sink.inc(
-                "noc.packets", self.sim.now, kind=packet.msg_type.value
-            )
+            _obs.sink.inc("noc.packets", now, kind=kind)
         if _faults.injector is not None and packet.duplicate_of is None:
             verdict = _faults.injector.decide(packet)
             if verdict is not None:
@@ -165,23 +175,24 @@ class NocFabric(abc.ABC):
                 )
             self._notify_loss(packet, "dead-tile")
             return
-        packet.delivered_at = self.sim.now
-        hops = self.topology.hop_distance(packet.src, packet.dst)
-        self.stats.on_deliver(packet, hops)
+        now = self.sim.now
+        packet.delivered_at = now
+        # send() stamped injected_at before the packet entered transport.
+        injected: int = packet.injected_at  # type: ignore[assignment]
+        hops = packet.hops
+        stats = self.stats
+        stats.delivered += 1
+        stats.total_hops += hops
+        stats.total_latency += now - injected
         if _obs.sink is not None:
-            injected = (
-                packet.injected_at
-                if packet.injected_at is not None
-                else self.sim.now
-            )
             exchange_uid = getattr(packet.payload, "exchange_uid", None)
             # Named by this fabric's delivery count, not the process-wide
             # ``Packet.uid``, so a run's trace is the same in any process.
             _obs.sink.complete_span(
-                f"pkt:{self.stats.delivered}",
+                f"pkt:{stats.delivered}",
                 packet.msg_type.value,
                 injected,
-                self.sim.now,
+                now,
                 cat="noc",
                 track=packet.src,
                 parent_id=(
@@ -196,9 +207,7 @@ class NocFabric(abc.ABC):
                     "flits": packet.size_flits,
                 },
             )
-            _obs.sink.observe("noc.hop_histogram", self.sim.now, hops)
-            _obs.sink.observe(
-                "noc.latency_cycles", self.sim.now, self.sim.now - injected
-            )
+            _obs.sink.observe("noc.hop_histogram", now, hops)
+            _obs.sink.observe("noc.latency_cycles", now, now - injected)
         if handler is not None:
             handler(packet)

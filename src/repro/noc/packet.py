@@ -84,7 +84,11 @@ class Packet:
     #: The destination NI's sequence filter discards duplicates, so a
     #: duplicate only ever adds fabric traffic, never a double delivery.
     duplicate_of: Optional[int] = None
-    uid: int = field(default_factory=lambda: next(_packet_ids))
+    #: Mesh hop count from ``src`` to ``dst``, set by
+    #: :meth:`~repro.noc.fabric.NocFabric.send` and read back by the
+    #: fabric for transport latency and delivery accounting.
+    hops: int = 0
+    uid: int = field(default_factory=_packet_ids.__next__)
 
     def __post_init__(self) -> None:
         if self.size_flits < 1:
@@ -92,17 +96,14 @@ class Packet:
         if self.src < 0 or self.dst < 0:
             raise ValueError(f"invalid endpoints ({self.src} -> {self.dst})")
 
-    @property
-    def latency(self) -> Optional[int]:
-        """Injection-to-delivery latency in cycles, if delivered."""
-        if self.injected_at is None or self.delivered_at is None:
-            return None
-        return self.delivered_at - self.injected_at
-
 
 @dataclass
 class PacketStats:
-    """Aggregate packet accounting for one simulation."""
+    """Aggregate packet accounting for one simulation.
+
+    The fabric updates the injection and delivery totals inline, in
+    :meth:`~repro.noc.fabric.NocFabric.send` and ``_deliver``.
+    """
 
     injected: int = 0
     delivered: int = 0
@@ -112,17 +113,6 @@ class PacketStats:
     #: Terminal discards (dropped, corrupted, duplicate-filtered,
     #: dead destination) keyed by reason.
     discards_by_reason: Dict[str, int] = field(default_factory=dict)
-
-    def on_inject(self, packet: Packet) -> None:
-        self.injected += 1
-        key = packet.msg_type.value
-        self.by_type[key] = self.by_type.get(key, 0) + 1
-
-    def on_deliver(self, packet: Packet, hops: int) -> None:
-        self.delivered += 1
-        self.total_hops += hops
-        if packet.latency is not None:
-            self.total_latency += packet.latency
 
     def on_discard(self, packet: Packet, reason: str) -> None:
         """A packet left the fabric without being delivered."""

@@ -33,7 +33,7 @@ class MeshTopology:
     width: int
     height: int
     #: Tile count and per-tile ``(x, y)``, computed once: the NoC asks
-    #: for two hop distances per packet.
+    #: for a hop distance per packet.
     _n: int = field(init=False, repr=False, compare=False)
     _xy: Tuple[Tuple[int, int], ...] = field(
         init=False, repr=False, compare=False
@@ -149,17 +149,6 @@ class MeshTopology:
     def all_tiles(self) -> Iterator[int]:
         """Iterate over all tile ids in row-major order."""
         return iter(range(self.n_tiles))
-
-    def non_neighbors(self, tid: int) -> List[int]:
-        """Tiles that are neither ``tid`` nor one of its torus neighbors.
-
-        This is the candidate set for the random-pairing optimization; the
-        hardware walks it with a shift register so every pair is eventually
-        visited (Section III-E).
-        """
-        excluded = set(self.torus_neighbors(tid))
-        excluded.add(tid)
-        return [t for t in range(self.n_tiles) if t not in excluded]
 
     def center_tile(self) -> int:
         """Tile nearest the geometric center of the grid."""

@@ -6,7 +6,9 @@ unique per simulator, so entries compare in C on their first three
 fields and never reach the :class:`Event`, and events scheduled at the
 same cycle fire in a fully deterministic order.  That in turn makes
 every Monte-Carlo experiment in the benchmark harness reproducible from
-its seed alone.
+its seed alone.  :meth:`Simulator.run` pops each entry once; the one
+entry past a bounded run's ``until`` goes back on the heap, which the
+total order makes invisible to later pops.
 
 Cancellation is lazy: :meth:`Event.cancel` marks the event and the
 kernel skips it when it reaches the top of the heap.  Watchdogs that
@@ -145,35 +147,38 @@ class Simulator:
         self._stopped = False
         queue = self._queue
         heappop = heapq.heappop
+        max_events = self._max_events
+        processed = self._events_processed
         try:
             while queue and not self._stopped:
-                time, _, _, event = queue[0]
+                entry = heappop(queue)
+                event = entry[3]
                 if event.cancelled:
-                    heappop(queue)
                     self._cancelled -= 1
                     continue
+                time = entry[0]
                 if until is not None and time > until:
+                    # The order is total, so pushing the entry back
+                    # leaves the pop order unchanged.
+                    heapq.heappush(queue, entry)
                     break
-                heappop(queue)
                 event._sim = None
                 self.now = time
                 event.callback()
-                self._events_processed += 1
+                processed += 1
                 # Profiling hook: one branch when disabled; the sink only
                 # counts (it never schedules), so results are unchanged.
                 if _obs.sink is not None:
                     _obs.sink.kernel_event(self.now, event.callback)
-                if (
-                    self._max_events is not None
-                    and self._events_processed >= self._max_events
-                ):
+                if max_events is not None and processed >= max_events:
                     raise SimulationError(
-                        f"event budget exhausted ({self._max_events} events); "
+                        f"event budget exhausted ({max_events} events); "
                         "likely a non-terminating model"
                     )
             if until is not None and not self._stopped and self.now < until:
                 self.now = until
         finally:
+            self._events_processed = processed
             self._running = False
         return self.now
 

@@ -16,6 +16,7 @@ from repro.noc.behavioral import BehavioralNoc
 from repro.noc.topology import MeshTopology
 from repro.sim.kernel import Simulator
 from repro.sim.rng import rng_for
+from repro.soc.presets import soc_3x3, soc_4x4, soc_6x6_chip
 from tests.conftest import build_engine_rig
 
 
@@ -224,6 +225,60 @@ class TestRandomPairing:
         # inactive neighbors moves everything one hop at most... the
         # distant tile stays starved of its fair share.
         assert engine.coins(15).has < 5
+
+
+    @staticmethod
+    def _expected_pairing(topo, managed, tid):
+        excluded = [tid, *topo.torus_neighbors(tid)]
+        return [t for t in sorted(managed) if t not in excluded]
+
+    @pytest.mark.parametrize("wrap_around", [True, False])
+    def test_pairing_lists_on_a_full_grid(self, wrap_around):
+        topo = MeshTopology(5, 4)
+        config = dataclasses.replace(
+            preferred_embodiment(), wrap_around=wrap_around
+        )
+        sim = Simulator()
+        engine = CoinExchangeEngine(
+            sim, BehavioralNoc(sim, topo), config, [8] * 20, [4] * 20
+        )
+        for tid in range(20):
+            assert engine.fsm[tid].non_neighbors == self._expected_pairing(
+                topo, range(20), tid
+            )
+
+    @pytest.mark.parametrize("preset", [soc_3x3, soc_4x4, soc_6x6_chip])
+    def test_pairing_lists_on_a_soc_managed_subset(self, preset):
+        soc_config = preset()
+        topo = soc_config.topology
+        managed = soc_config.managed_accelerators()
+        n = topo.n_tiles
+        sim = Simulator()
+        engine = CoinExchangeEngine(
+            sim, BehavioralNoc(sim, topo), preferred_embodiment(),
+            [0] * n, [0] * n, managed_tiles=managed,
+        )
+        for tid in managed:
+            assert engine.fsm[tid].non_neighbors == self._expected_pairing(
+                topo, managed, tid
+            )
+
+    def test_pairing_lists_share_their_ints(self):
+        """Ids past CPython's small-int cache are one object in every
+        tile's list, not one copy per tile."""
+        topo = MeshTopology(17, 17)
+        n = topo.n_tiles
+        sim = Simulator()
+        engine = CoinExchangeEngine(
+            sim, BehavioralNoc(sim, topo), preferred_embodiment(),
+            [1] * n, [1] * n,
+        )
+        first = engine.fsm[0].non_neighbors
+        for tid in (100, 200, n - 1):
+            other = engine.fsm[tid].non_neighbors
+            shared = [t for t in other if t in first and t > 256]
+            assert shared
+            assert all(first[first.index(t)] is t for t in shared)
 
 
 class TestStatistics:

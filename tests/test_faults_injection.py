@@ -4,7 +4,7 @@ Covers the determinism contract (counter-hash decisions, stream
 position independent of outcomes), the runtime fast flag, and the
 fabric-level semantics of each fault kind: drop, duplicate (sequence
 filtered, never loss-notified), corrupt (CRC discard at the NI), and
-delay.
+delay, on both NoC fidelities.
 """
 
 import pytest
@@ -20,18 +20,13 @@ from repro.faults import (
 from repro.faults import runtime as fault_runtime
 from repro.noc.behavioral import BehavioralNoc
 from repro.noc.packet import MessageType, Packet
+from repro.noc.router import CycleNoc
 from repro.noc.topology import MeshTopology
 from repro.sim.kernel import Simulator
 
 
 def make_packet(src=0, dst=1, msg_type=MessageType.COIN_REQUEST):
     return Packet(src=src, dst=dst, msg_type=msg_type)
-
-
-def make_noc(d=3):
-    sim = Simulator()
-    noc = BehavioralNoc(sim, MeshTopology(d, d))
-    return sim, noc
 
 
 class TestInjectorDeterminism:
@@ -119,13 +114,31 @@ class TestRuntimeFlag:
 
 
 class TestFabricInjection:
+    """Each verdict on the behavioral NoC; the subclass below reruns
+    every test on the cycle-level NoC."""
+
+    noc_cls = BehavioralNoc
+    #: Latency of the one delayed 1-hop packet: the behavioral NoC adds
+    #: the verdict's delay once, the cycle-level NoC also a per-hop stall.
+    delayed_latency = 4
+
+    def make_noc(self):
+        sim = Simulator()
+        return sim, self.noc_cls(sim, MeshTopology(3, 3))
+
     def attach_counter(self, noc, tid):
         received = []
         noc.attach(tid, received.append)
         return received
 
+    @staticmethod
+    def assert_traffic(noc, hops, latency, by_type):
+        assert noc.stats.total_hops == hops
+        assert noc.stats.total_latency == latency
+        assert noc.stats.by_type == by_type
+
     def test_drop_discards_and_notifies(self):
-        sim, noc = make_noc()
+        sim, noc = self.make_noc()
         received = self.attach_counter(noc, 1)
         losses = []
         noc.add_loss_listener(lambda p, reason: losses.append(reason))
@@ -137,9 +150,10 @@ class TestFabricInjection:
         assert losses == ["drop"]
         assert noc.stats.injected == 1
         assert noc.stats.delivered == 0
+        self.assert_traffic(noc, 0, 0, {"coin_request": 1})
 
     def test_corrupt_discarded_at_destination(self):
-        sim, noc = make_noc()
+        sim, noc = self.make_noc()
         received = self.attach_counter(noc, 1)
         losses = []
         noc.add_loss_listener(lambda p, reason: losses.append(reason))
@@ -149,12 +163,13 @@ class TestFabricInjection:
         assert received == []
         assert noc.stats.discards_by_reason == {"corrupt": 1}
         assert losses == ["corrupt"]
+        self.assert_traffic(noc, 0, 0, {"coin_request": 1})
 
     def test_duplicate_filtered_without_loss_notify(self):
         """The copy is discarded by the NI sequence filter and must NOT
         look like a loss — otherwise reconciliation would mint phantom
         coins."""
-        sim, noc = make_noc()
+        sim, noc = self.make_noc()
         received = self.attach_counter(noc, 1)
         losses = []
         noc.add_loss_listener(lambda p, reason: losses.append(reason))
@@ -165,16 +180,20 @@ class TestFabricInjection:
         assert noc.stats.injected == 2  # copy fully accounted
         assert noc.stats.discards_by_reason == {"duplicate": 1}
         assert losses == []
+        self.assert_traffic(noc, 1, 2, {"coin_request": 2})
 
     def test_delay_postpones_delivery(self):
-        sim, noc = make_noc()
+        sim, noc = self.make_noc()
         with injecting(FaultPlan.uniform(delay=1.0, max_delay_cycles=8)):
             received = self.attach_counter(noc, 1)
             noc.send(make_packet(0, 1))
             sim.run_for(200)
             delayed_at = noc.stats.delivered and sim.now
         assert delayed_at
-        sim2, noc2 = make_noc()
+        self.assert_traffic(
+            noc, 1, self.delayed_latency, {"coin_request": 1}
+        )
+        sim2, noc2 = self.make_noc()
         received2 = self.attach_counter(noc2, 1)
         noc2.send(make_packet(0, 1))
         sim2.run_for(200)
@@ -185,7 +204,7 @@ class TestFabricInjection:
         """Packets to a mark_dead tile are terminal losses; packets to
         a tile that never attached keep the legacy delivered-to-nobody
         accounting (centralized PM decorative traffic)."""
-        sim, noc = make_noc()
+        sim, noc = self.make_noc()
         losses = []
         noc.add_loss_listener(lambda p, reason: losses.append(reason))
         noc.send(make_packet(0, 1))  # never attached
@@ -198,9 +217,10 @@ class TestFabricInjection:
         assert noc.stats.delivered == 1
         assert noc.stats.discards_by_reason == {"dead-tile": 1}
         assert losses == ["dead-tile"]
+        self.assert_traffic(noc, 1, 2, {"coin_request": 2})
 
     def test_mark_alive_restores_legacy_accounting(self):
-        sim, noc = make_noc()
+        sim, noc = self.make_noc()
         noc.mark_dead(2)
         noc.mark_alive(2)
         noc.send(make_packet(0, 2))
@@ -209,10 +229,15 @@ class TestFabricInjection:
         assert noc.stats.discarded == 0
 
     def test_no_injector_means_no_faults(self):
-        sim, noc = make_noc()
+        sim, noc = self.make_noc()
         received = self.attach_counter(noc, 1)
         for _ in range(20):
             noc.send(make_packet(0, 1))
         sim.run_for(200)
         assert len(received) == 20
         assert noc.stats.discarded == 0
+
+
+class TestFabricInjectionCycleNoc(TestFabricInjection):
+    noc_cls = CycleNoc
+    delayed_latency = 9

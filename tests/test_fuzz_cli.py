@@ -135,6 +135,24 @@ class TestErrorPaths:
         assert rc == 1
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("make_dir", [False, True])
+    def test_replay_of_missing_corpus_is_rc2_one_line(
+        self, capsys, tmp_path, make_dir
+    ):
+        """A mistyped path or a directory with no manifest must fail,
+        not pass as an empty corpus."""
+        root = tmp_path / "no-such-corpus"
+        if make_dir:
+            root.mkdir()
+        rc, out, err = run_cli(
+            capsys, ["fuzz", "replay", "--corpus", str(root)]
+        )
+        assert rc == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: no fuzz corpus at ")
+        assert "manifest.json is missing" in err
+
     def test_replay_without_target_is_rc2(self, capsys):
         rc, out, err = run_cli(capsys, ["fuzz", "replay"])
         assert rc == 2

@@ -5,7 +5,7 @@ import pytest
 from repro.noc.behavioral import BehavioralNoc
 from repro.noc.packet import MessageType, Packet, PacketStats, Plane
 from repro.noc.router import CycleNoc
-from repro.noc.topology import MeshTopology
+from repro.noc.topology import MeshTopology, TopologyError
 from repro.sim.kernel import Simulator
 
 
@@ -24,12 +24,16 @@ class TestPacket:
         with pytest.raises(ValueError):
             Packet(src=0, dst=1, msg_type=MessageType.DMA, size_flits=0)
 
-    def test_latency_requires_delivery(self):
+    def test_latency_requires_delivery(self, sim, mesh_3x3):
+        noc = BehavioralNoc(sim, mesh_3x3)
         p = Packet(src=0, dst=1, msg_type=MessageType.DMA)
-        assert p.latency is None
-        p.injected_at = 5
-        p.delivered_at = 9
-        assert p.latency == 4
+        noc.send(p)
+        assert p.injected_at == 0
+        assert p.delivered_at is None
+        assert noc.stats.total_latency == 0
+        sim.run()
+        assert p.delivered_at == 2
+        assert noc.stats.total_latency == 2
 
     def test_uids_are_unique(self):
         a = Packet(src=0, dst=1, msg_type=MessageType.DMA)
@@ -38,13 +42,15 @@ class TestPacket:
 
 
 class TestPacketStats:
-    def test_counting_by_type(self):
-        stats = PacketStats()
+    def test_counting_by_type(self, sim, mesh_3x3):
+        noc = BehavioralNoc(sim, mesh_3x3)
         for _ in range(3):
-            stats.on_inject(Packet(src=0, dst=1, msg_type=MessageType.COIN_STATUS))
-        stats.on_inject(Packet(src=0, dst=1, msg_type=MessageType.PM_POLL))
+            noc.send(Packet(src=0, dst=1, msg_type=MessageType.COIN_STATUS))
+        noc.send(Packet(src=0, dst=1, msg_type=MessageType.PM_POLL))
+        stats = noc.stats
         assert stats.injected == 4
         assert stats.coin_packets == 3
+        assert stats.by_type == {"coin_status": 3, "pm_poll": 1}
 
 
 class TestBehavioralNoc:
@@ -59,20 +65,31 @@ class TestBehavioralNoc:
 
     def test_latency_is_hops_plus_router_delay(self, sim, mesh_3x3):
         noc = BehavioralNoc(sim, mesh_3x3)
-        assert noc.latency(0, 8) == 1 + 4  # router_delay + 4 hops
-        assert noc.latency(0, 0) == 1
+        far = Packet(src=0, dst=8, msg_type=MessageType.DMA)
+        local = Packet(src=0, dst=0, msg_type=MessageType.DMA)
+        noc.send(far)
+        noc.send(local)
+        assert (far.hops, local.hops) == (4, 0)
+        sim.run()
+        assert far.delivered_at == 1 + 4  # router_delay + 4 hops
+        assert local.delivered_at == 1
 
     def test_multi_flit_serialization(self, sim, mesh_3x3):
         noc = BehavioralNoc(sim, mesh_3x3)
-        assert noc.latency(0, 1, size_flits=4) == noc.latency(0, 1) + 3
+        one = Packet(src=0, dst=1, msg_type=MessageType.DMA)
+        four = Packet(src=0, dst=1, msg_type=MessageType.DMA, size_flits=4)
+        noc.send(one)
+        noc.send(four)
+        sim.run()
+        assert four.delivered_at == one.delivered_at + 3
 
     def test_delivery_time_matches_latency(self, sim, mesh_3x3):
-        noc = BehavioralNoc(sim, mesh_3x3)
+        noc = BehavioralNoc(sim, mesh_3x3, hop_cycles=2, router_delay=3)
         got = []
         noc.attach(8, lambda p: got.append(sim.now))
         noc.send(Packet(src=0, dst=8, msg_type=MessageType.DMA))
         sim.run()
-        assert got == [noc.latency(0, 8)]
+        assert got == [3 + 4 * 2]  # router_delay + 4 hops of 2 cycles
 
     def test_unattached_destination_drops_silently(self, sim, mesh_3x3):
         noc = BehavioralNoc(sim, mesh_3x3)
@@ -85,7 +102,8 @@ class TestBehavioralNoc:
         noc.attach(2, lambda p: None)
         noc.send(Packet(src=0, dst=2, msg_type=MessageType.DMA))
         sim.run()
-        assert noc.stats.mean_latency == noc.latency(0, 2)
+        assert noc.stats.total_hops == 2
+        assert noc.stats.mean_latency == 1 + 2
 
     def test_invalid_parameters_rejected(self, sim, mesh_3x3):
         with pytest.raises(ValueError):
@@ -156,3 +174,16 @@ class TestCycleNoc:
         noc.send(Packet(src=0, dst=3, msg_type=MessageType.DMA))
         sim.run()
         assert 0.0 < noc.link_utilization(sim.now) <= 1.0
+
+
+@pytest.mark.parametrize("noc_cls", [BehavioralNoc, CycleNoc])
+@pytest.mark.parametrize("src, dst, bad", [(9, 0, 9), (0, 9, 9), (12, 10, 12)])
+def test_send_outside_grid_raises_and_counts_nothing(noc_cls, src, dst, bad):
+    sim = Simulator()
+    noc = noc_cls(sim, MeshTopology(3, 3))
+    packet = Packet(src=src, dst=dst, msg_type=MessageType.COIN_STATUS)
+    with pytest.raises(TopologyError, match=f"^tile id {bad} outside grid of 9$"):
+        noc.send(packet)
+    assert noc.stats == PacketStats()
+    assert packet.injected_at is None
+    assert sim.pending == 0

@@ -48,13 +48,6 @@ class TestNeighbors:
         topo = MeshTopology(2, 1)
         assert topo.torus_neighbors(0) == [1]
 
-    def test_non_neighbors_excludes_self_and_torus_neighbors(self, mesh_4x4):
-        nn = mesh_4x4.non_neighbors(0)
-        assert 0 not in nn
-        for t in mesh_4x4.torus_neighbors(0):
-            assert t not in nn
-        assert len(nn) == 16 - 1 - 4
-
     @given(st.integers(2, 8), st.integers(2, 8))
     @settings(max_examples=30, deadline=None)
     def test_torus_neighborhood_is_symmetric(self, w, h):

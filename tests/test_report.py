@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
+from repro.noc.behavioral import BehavioralNoc
 from repro.noc.packet import MessageType, Packet, PacketStats
+from repro.noc.topology import MeshTopology
 from repro.obs.metrics import MetricsRegistry
 from repro.report.csv_export import (
     CsvExportError,
@@ -24,6 +26,7 @@ from repro.report.post_process import (
     reconstruct_power_trace,
     throughput_per_watt,
 )
+from repro.sim.kernel import Simulator
 from repro.soc.executor import WorkloadExecutor
 from repro.soc.pm import PMKind, build_pm
 from repro.soc.presets import soc_3x3
@@ -102,18 +105,18 @@ class TestExportSocRun:
 
 
 def _stats_with_traffic() -> PacketStats:
-    stats = PacketStats()
+    # Two hops plus a two-cycle router delay: every packet takes 4 cycles.
+    sim = Simulator()
+    noc = BehavioralNoc(sim, MeshTopology(3, 1), router_delay=2)
     for kind, count in (
         (MessageType.COIN_STATUS, 3),
         (MessageType.COIN_UPDATE, 2),
         (MessageType.PM_SET, 1),
     ):
         for _ in range(count):
-            p = Packet(src=0, dst=1, msg_type=kind)
-            stats.on_inject(p)
-            p.injected_at, p.delivered_at = 0, 4
-            stats.on_deliver(p, hops=2)
-    return stats
+            noc.send(Packet(src=0, dst=2, msg_type=kind))
+    sim.run()
+    return noc.stats
 
 
 class TestPacketStatsExport:
