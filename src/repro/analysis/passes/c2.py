@@ -16,12 +16,13 @@ Recognized movements (the accounting vocabulary):
 
 A path is balanced when the symbolic sum of its movements reduces to
 zero.  The reducer knows one algebraic fact beyond term cancellation:
-an ``ExchangeResult.deltas`` tuple sums to zero (``repro.core.coins``
-guarantees it), so applying *all* elements of one deltas family —
-directly, by unpacking, or by looping over a ``deltas[k:]`` slice —
-balances.  The ledger primitives themselves (``_apply_delta``,
-``_book_loss``) are exempt: their bodies *define* the movements their
-call sites account for.
+an ``ExchangeResult.deltas`` tuple, and the tuple an exchange kernel
+(``pair_deltas``, ``group_deltas``) returns, sums to zero
+(``repro.core.coins`` guarantees it), so applying *all* elements of
+one deltas family — directly, by unpacking, or by looping over a
+``deltas[k:]`` slice — balances.  The ledger primitives themselves
+(``_apply_delta``, ``_book_loss``) are exempt: their bodies *define*
+the movements their call sites account for.
 
 Paths are enumerated acyclically over the function's CFG (closures
 included, sharing the enclosing function's delta families).  A loop
@@ -49,6 +50,9 @@ _EXEMPT_FUNCS = {"_apply_delta", "_book_loss", "__init__", "__post_init__"}
 
 _PATH_LIMIT = 200
 
+#: ``repro.core.coins`` kernels whose result tuple sums to zero.
+_ZERO_SUM_KERNELS = {"pair_deltas", "group_deltas"}
+
 # A symbolic movement is a Counter mapping term-key -> coefficient.
 # Term keys:  ("term", "<unparsed expr>")  a plain expression
 #             ("elt", family_id, index)    one element of a deltas tuple
@@ -74,14 +78,12 @@ class _Families:
         return fid
 
     def harvest(self, root: ast.AST) -> None:
-        """Find ``… = <x>.deltas`` bindings anywhere under ``root``."""
+        """Find ``… = <x>.deltas`` and ``… = <kernel>(…)`` bindings
+        anywhere under ``root``."""
         for node in ast.walk(root):
             if not isinstance(node, ast.Assign) or len(node.targets) != 1:
                 continue
-            if not (
-                isinstance(node.value, ast.Attribute)
-                and node.value.attr == "deltas"
-            ):
+            if not _is_zero_sum(node.value):
                 continue
             target = node.targets[0]
             if isinstance(target, ast.Name):
@@ -92,6 +94,16 @@ class _Families:
                 fid = self.new_family(len(target.elts))
                 for i, el in enumerate(target.elts):
                     self.elements[el.id] = (fid, i)
+
+
+def _is_zero_sum(value: ast.expr) -> bool:
+    """True for an expression whose value is a zero-sum deltas tuple."""
+    if isinstance(value, ast.Attribute):
+        return value.attr == "deltas"
+    if isinstance(value, ast.Call):
+        callee = (dotted_name(value.func) or "").split(".")[-1]
+        return callee in _ZERO_SUM_KERNELS
+    return False
 
 
 def _negate(term: Counter) -> Counter:

@@ -24,15 +24,6 @@ class ExchangeMode(enum.Enum):
     ONE_WAY = "1-way"
     FOUR_WAY = "4-way"
 
-    @property
-    def messages_per_rotation(self) -> int:
-        """NoC messages for one full pass over the 4 neighbors.
-
-        1-way: status + update per neighbor = 8.
-        4-way: request + status + update per neighbor = 12.
-        """
-        return 8 if self is ExchangeMode.ONE_WAY else 12
-
 
 @dataclass(frozen=True)
 class BlitzCoinConfig:

@@ -32,7 +32,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set
 import numpy as np
 
 from repro.analysis.sanitize import attach_sanitizer, sanitize_enabled
-from repro.core.coins import TileCoins, group_exchange, pairwise_exchange
+from repro.core.coins import TileCoins, group_deltas, pair_deltas
 from repro.core.config import BlitzCoinConfig, ExchangeMode
 from repro.core.metrics import ErrorTracker
 from repro.faults import runtime as _faults
@@ -180,11 +180,19 @@ class CoinExchangeEngine:
         self.tracker = ErrorTracker(
             initial_has, max_by_tile, self.pool, config.convergence_threshold
         )
+        #: The mode, its compute latency and whether the config sets a
+        #: cap source are fixed for the engine's life: resolved once.
         #: A delivered COIN_STATUS goes straight to the mode's handler.
+        self._one_way = config.mode is ExchangeMode.ONE_WAY
         self._status_handler: Callable[[Packet], None] = (
-            self._serve_one_way
-            if config.mode is ExchangeMode.ONE_WAY
-            else self._collect_four_way
+            self._serve_one_way if self._one_way else self._collect_four_way
+        )
+        self._compute_cycles = config.compute_cycles
+        #: False when the config sets no cap source; exchanges then pass
+        #: no caps unless a runtime override is set (``cap_overrides``).
+        self._config_caps = (
+            config.thermal_caps is not None
+            or config.hotspot_neighborhood_cap is not None
         )
         self.fsm: Dict[int, _TileFsm] = {}
         # Random-pairing candidates: every managed tile except the tile
@@ -305,13 +313,14 @@ class CoinExchangeEngine:
         if _obs.sink is not None:
             _obs.sink.inc("engine.exchanges_initiated", self.sim.now)
         self._arm_timeout(fsm)
-        if self.config.mode is ExchangeMode.ONE_WAY:
+        if self._one_way:
             partner = self._pick_partner(fsm)
             if partner is None:
                 self._finish_exchange(tid, moved=False)
                 return
             fsm.busy = True
-            uid = self._next_uid()
+            self._uid += 1
+            uid = self._uid
             fsm.pending_uid = uid
             fsm.pending_partner = partner
             if _obs.sink is not None:
@@ -323,16 +332,14 @@ class CoinExchangeEngine:
                     track=tid,
                     args={"mode": "1way", "tile": tid, "partner": partner},
                 )
+            coins = fsm.coins
             self.noc.send(
                 Packet(
                     src=tid,
                     dst=partner,
                     msg_type=_COIN_STATUS,
                     payload=_StatusPayload(
-                        fsm.coins.has,
-                        fsm.coins.max,
-                        uid,
-                        shake=fsm.zero_streak >= 2,
+                        coins.has, coins.max, uid, False, fsm.zero_streak >= 2
                     ),
                 )
             )
@@ -341,7 +348,8 @@ class CoinExchangeEngine:
                 self._finish_exchange(tid, moved=False)
                 return
             fsm.busy = True
-            uid = self._next_uid()
+            self._uid += 1
+            uid = self._uid
             fsm.pending_uid = uid
             if _obs.sink is not None:
                 _obs.sink.begin_span(
@@ -367,10 +375,6 @@ class CoinExchangeEngine:
                         payload=_RequestPayload(uid),
                     )
                 )
-
-    def _next_uid(self) -> int:
-        self._uid += 1
-        return self._uid
 
     def _arm_timeout(self, fsm: _TileFsm) -> None:
         """Watchdog: abandon an exchange whose reply never arrives.
@@ -433,8 +437,9 @@ class CoinExchangeEngine:
         """Per-tile cap combined with the neighborhood hotspot limit.
 
         The neighborhood check uses the tile's cached view of its
-        neighbors' holdings (last status seen from each), which is what
-        the hardware can know locally.
+        neighbors' holdings (the last status seen from each, recorded
+        in ``neighbor_cache`` when a status arrives), which is what the
+        hardware can know locally.
         """
         caps = self.config.thermal_caps
         cap = self.cap_overrides.get(
@@ -451,12 +456,6 @@ class CoinExchangeEngine:
         )
         room = max(0, hotspot - neighbor_sum)
         return room if cap is None else min(cap, room)
-
-    def _observe(self, tid: int, neighbor: int, has: int) -> None:
-        """Record a neighbor's coin count seen in a status/update."""
-        fsm = self.fsm.get(tid)
-        if fsm is not None and neighbor in fsm.neighbors:
-            fsm.neighbor_cache[neighbor] = has
 
     @staticmethod
     def _jitter(fsm: _TileFsm, span: int) -> int:
@@ -501,7 +500,7 @@ class CoinExchangeEngine:
                     track=packet.dst,
                     args={"to": packet.src, "uid": req.exchange_uid},
                 )
-            payload = _StatusPayload(0, 0, req.exchange_uid, nack=True)
+            payload = _StatusPayload(0, 0, req.exchange_uid, True)
         else:
             fsm.locked = True
             fsm.lock_uid = req.exchange_uid
@@ -537,7 +536,9 @@ class CoinExchangeEngine:
         update is ever computed against a stale snapshot: both endpoints
         of an exchange are frozen for its (few-cycle) duration.
         """
-        me = self.fsm[packet.dst]
+        src = packet.src
+        dst = packet.dst
+        me = self.fsm[dst]
         status: _StatusPayload = packet.payload
         if me.busy or me.locked:
             if _obs.sink is not None:
@@ -546,32 +547,31 @@ class CoinExchangeEngine:
                     "nack",
                     self.sim.now,
                     cat="engine",
-                    track=packet.dst,
-                    args={"to": packet.src, "uid": status.exchange_uid},
+                    track=dst,
+                    args={"to": src, "uid": status.exchange_uid},
                 )
             self.noc.send(
                 Packet(
-                    src=packet.dst,
-                    dst=packet.src,
+                    src=dst,
+                    dst=src,
                     msg_type=_COIN_UPDATE,
-                    payload=_UpdatePayload(
-                        0, False, status.exchange_uid, nack=True
-                    ),
+                    payload=_UpdatePayload(0, False, status.exchange_uid, True),
                 )
             )
             return
         me.locked = True
         if _obs.sink is not None:
             _obs.sink.begin_span(
-                f"serve:{status.exchange_uid}:{packet.dst}",
+                f"serve:{status.exchange_uid}:{dst}",
                 "serve",
                 self.sim.now,
                 cat="engine",
-                track=packet.dst,
+                track=dst,
                 parent_id=f"xchg:{status.exchange_uid}",
-                args={"initiator": packet.src},
+                args={"initiator": src},
             )
-        self._observe(packet.dst, packet.src, status.has)
+        if src in me.neighbors:
+            me.neighbor_cache[src] = status.has
 
         def apply_and_reply() -> None:
             if me.dead or me.hung:
@@ -579,38 +579,46 @@ class CoinExchangeEngine:
                 # ever sent; the initiator's watchdog recovers it.
                 me.locked = False
                 return
-            initiator_state = TileCoins(status.has, status.max)
-            result = pairwise_exchange(
-                initiator_state,
-                me.coins,
-                cap_i=self._effective_cap(packet.src),
-                cap_j=self._effective_cap(packet.dst),
-                shake=status.shake,
+            if self._config_caps or self.cap_overrides:
+                cap_i = self._effective_cap(src)
+                cap_j = self._effective_cap(dst)
+            else:
+                cap_i = cap_j = None
+            coins = me.coins
+            delta_initiator, delta_me = pair_deltas(
+                status.has,
+                status.max,
+                coins.has,
+                coins.max,
+                cap_i,
+                cap_j,
+                status.shake,
             )
-            delta_initiator, delta_me = result.deltas
-            self._apply_delta(packet.dst, delta_me)
+            self._apply_delta(dst, delta_me)
             me.locked = False
-            if delta_me != 0:
+            # The deltas sum to zero, so ours is non-zero iff coins moved.
+            moved = delta_me != 0
+            if moved:
                 self._wake(me)
             if _obs.sink is not None:
                 _obs.sink.end_span(
-                    f"serve:{status.exchange_uid}:{packet.dst}",
+                    f"serve:{status.exchange_uid}:{dst}",
                     self.sim.now,
                     args={"delta": delta_me},
                 )
             self._in_flight += delta_initiator
             self.noc.send(
                 Packet(
-                    src=packet.dst,
-                    dst=packet.src,
+                    src=dst,
+                    dst=src,
                     msg_type=_COIN_UPDATE,
                     payload=_UpdatePayload(
-                        delta_initiator, not result.is_zero, status.exchange_uid
+                        delta_initiator, moved, status.exchange_uid
                     ),
                 )
             )
 
-        self.sim.schedule(self.config.compute_cycles, apply_and_reply)
+        self.sim.schedule(self._compute_cycles, apply_and_reply)
 
     def _collect_four_way(self, packet: Packet) -> None:
         """4-way: a neighbor's status arrived at the requesting center."""
@@ -618,40 +626,43 @@ class CoinExchangeEngine:
         status: _StatusPayload = packet.payload
         if status.exchange_uid != center.pending_uid:
             return  # stale reply from an abandoned exchange
-        center.pending_statuses[packet.src] = status
-        if len(center.pending_statuses) < len(center.pending_order):
+        statuses = center.pending_statuses
+        statuses[packet.src] = status
+        # ``pending_order`` is replaced, never mutated, so no copy.
+        order = center.pending_order
+        if len(statuses) < len(order):
             return
-        order = list(center.pending_order)
         uid = center.pending_uid
-        nacked = any(center.pending_statuses[nb].nack for nb in order)
-        if nacked:
+        granted = [nb for nb in order if not statuses[nb].nack]
+        if len(granted) < len(order):
             # Abort: unlock the neighbors that did grant us their status.
-            for nb in order:
-                if not center.pending_statuses[nb].nack:
-                    self.noc.send(
-                        Packet(
-                            src=center.tid,
-                            dst=nb,
-                            msg_type=_COIN_UPDATE,
-                            payload=_UpdatePayload(0, False, uid, nack=True),
-                        )
+            for nb in granted:
+                self.noc.send(
+                    Packet(
+                        src=center.tid,
+                        dst=nb,
+                        msg_type=_COIN_UPDATE,
+                        payload=_UpdatePayload(0, False, uid, True),
                     )
+                )
             self._finish_exchange(center.tid, moved=False, nacked=True)
             return
+        coins = center.coins
+        has = [coins.has]
+        maxes = [coins.max]
+        cache = center.neighbor_cache
         for nb in order:
-            self._observe(center.tid, nb, center.pending_statuses[nb].has)
-        states = [center.coins] + [
-            TileCoins(
-                center.pending_statuses[nb].has,
-                center.pending_statuses[nb].max,
-            )
-            for nb in order
-        ]
-        caps = [self._effective_cap(center.tid)] + [
-            self._effective_cap(nb) for nb in order
-        ]
-        result = group_exchange(states, caps)
-        deltas = result.deltas
+            st = statuses[nb]
+            cache[nb] = st.has
+            has.append(st.has)
+            maxes.append(st.max)
+        caps: Optional[List[Optional[int]]] = None
+        if self._config_caps or self.cap_overrides:
+            caps = [self._effective_cap(center.tid)] + [
+                self._effective_cap(nb) for nb in order
+            ]
+        deltas = group_deltas(has, maxes, caps)
+        moved = any(deltas)
 
         def apply_and_update() -> None:
             if center.dead or center.hung:
@@ -666,12 +677,12 @@ class CoinExchangeEngine:
                         src=center.tid,
                         dst=nb,
                         msg_type=_COIN_UPDATE,
-                        payload=_UpdatePayload(delta, not result.is_zero, uid),
+                        payload=_UpdatePayload(delta, moved, uid),
                     )
                 )
-            self._finish_exchange(center.tid, moved=not result.is_zero)
+            self._finish_exchange(center.tid, moved=moved)
 
-        self.sim.schedule(self.config.compute_cycles, apply_and_update)
+        self.sim.schedule(self._compute_cycles, apply_and_update)
 
     def _on_update(self, packet: Packet) -> None:
         update: _UpdatePayload = packet.payload

@@ -16,7 +16,7 @@ stable between activity changes even while coins are in transit.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 
 def global_error(has: Sequence[int], max_: Sequence[int]) -> float:
@@ -74,15 +74,12 @@ class ErrorTracker:
             abs(h - self._alpha * m) for h, m in zip(self._has, self._max)
         )
 
-    def _term(self, tid: int) -> float:
-        return abs(self._has[tid] - self._alpha * self._max[tid])
-
     # ------------------------------------------------------------- updates
     def update_has(self, tid: int, new_has: int, now: int) -> None:
         """Apply a coin-count change and stamp convergence if crossed.
 
-        The engine's hot path: ``_term`` and ``_check`` are inlined with
-        the same float operations in the same order.
+        The engine's hot path: the tile's error term and ``_check`` are
+        inlined with the same float operations in the same order.
         """
         has = self._has
         target = self._alpha * self._max[tid]
@@ -125,16 +122,6 @@ class ErrorTracker:
     def is_converged(self) -> bool:
         """True once E has dropped below the threshold."""
         return self.converged_at is not None
-
-    def per_tile_error(self) -> Dict[int, float]:
-        """Snapshot of every tile's E_i."""
-        return {t: self._term(t) for t in range(len(self._has))}
-
-    def worst_error(self) -> float:
-        """Largest per-tile error right now."""
-        return max(
-            (self._term(t) for t in range(len(self._has))), default=0.0
-        )
 
     def target_for(self, tid: int) -> float:
         """The fair (real-valued) coin count for tile ``tid``."""

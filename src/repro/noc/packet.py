@@ -55,10 +55,10 @@ class MessageType(enum.Enum):
         )
 
 
-_packet_ids = itertools.count()
+_next_packet_id = itertools.count().__next__
 
 
-@dataclass
+@dataclass(init=False)
 class Packet:
     """One NoC message.
 
@@ -66,6 +66,13 @@ class Packet:
     a packet occupies each link for ``size_flits`` cycles.  All
     power-management messages are single-flit (a coin count and a max fit
     in one 64-bit flit), matching the compact hardware encoding.
+
+    The constructor takes only what a sender sets.  The fields the
+    fabric stamps on the way (``injected_at``, ``delivered_at``,
+    ``corrupted``, ``hops``) and ``duplicate_of``, unless given, keep
+    their class-level defaults until something assigns them, so a
+    packet costs one short ``__init__`` frame; ``repr`` and ``==``
+    still cover every field.
     """
 
     src: int
@@ -88,13 +95,32 @@ class Packet:
     #: :meth:`~repro.noc.fabric.NocFabric.send` and read back by the
     #: fabric for transport latency and delivery accounting.
     hops: int = 0
-    uid: int = field(default_factory=_packet_ids.__next__)
+    #: Process-wide creation order, assigned by the constructor.
+    uid: int = field(init=False)
 
-    def __post_init__(self) -> None:
-        if self.size_flits < 1:
-            raise ValueError(f"packet must have >=1 flit, got {self.size_flits}")
-        if self.src < 0 or self.dst < 0:
-            raise ValueError(f"invalid endpoints ({self.src} -> {self.dst})")
+    def __init__(
+        self,
+        src: int,
+        dst: int,
+        msg_type: MessageType,
+        plane: Plane = Plane.MMIO_IRQ,
+        payload: Any = None,
+        size_flits: int = 1,
+        duplicate_of: Optional[int] = None,
+    ) -> None:
+        if size_flits < 1:
+            raise ValueError(f"packet must have >=1 flit, got {size_flits}")
+        if src < 0 or dst < 0:
+            raise ValueError(f"invalid endpoints ({src} -> {dst})")
+        self.src = src
+        self.dst = dst
+        self.msg_type = msg_type
+        self.plane = plane
+        self.payload = payload
+        self.size_flits = size_flits
+        if duplicate_of is not None:
+            self.duplicate_of = duplicate_of
+        self.uid = _next_packet_id()
 
 
 @dataclass

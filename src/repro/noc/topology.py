@@ -57,11 +57,6 @@ class MeshTopology:
         """Total tile count N."""
         return self._n
 
-    @property
-    def dimension(self) -> float:
-        """The paper's d = sqrt(N) for square grids; sqrt(N) generally."""
-        return float(self.n_tiles) ** 0.5
-
     def coords(self, tid: int) -> Tuple[int, int]:
         """(x, y) coordinates of tile ``tid``."""
         self._check(tid)

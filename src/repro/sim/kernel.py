@@ -10,14 +10,21 @@ its seed alone.  :meth:`Simulator.run` pops each entry once; the one
 entry past a bounded run's ``until`` goes back on the heap, which the
 total order makes invisible to later pops.
 
+Events are cheap to make.  :class:`Event` has no ``__init__``:
+:meth:`Simulator.schedule` allocates the slot object directly and
+fills its four slots, so scheduling runs no Python frame besides
+``schedule`` itself.  ``schedule`` stays the one entry point, which
+callers and wrappers (the runtime sanitizer, tracers) can replace.
+
 Cancellation is lazy: :meth:`Event.cancel` marks the event and the
 kernel skips it when it reaches the top of the heap.  Watchdogs that
 are armed for thousands of cycles and cancelled a few cycles later
 would otherwise fill the heap with dead entries, so the simulator
-counts the cancelled entries still in its heap.  Once they are more
-than half of it, and the heap holds more than :data:`COMPACT_FLOOR`
-entries, it drops them all and re-heapifies in place (asyncio's rule
-for cancelled timer handles).  The order is total, so dropping entries
+counts the cancelled entries still in its heap; ``cancel`` does the
+counting inline.  Once they are more than half of it, and the heap
+holds more than :data:`COMPACT_FLOOR` entries, the simulator drops
+them all and re-heapifies in place (asyncio's rule for cancelled
+timer handles).  The order is total, so dropping entries
 never changes which event fires next.  :attr:`Simulator.pending` is the
 heap length: the live events plus the cancelled ones not yet dropped.
 Only a cancel adds a dead entry, and right after each one the heap
@@ -27,12 +34,15 @@ holds at most twice its live events plus the floor.
 from __future__ import annotations
 
 import heapq
-from typing import Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.obs import runtime as _obs
 
 #: Heap size at or below which cancelled entries are never compacted.
 COMPACT_FLOOR = 64
+
+#: Allocates an :class:`Event` without running any ``__init__``.
+_new_event: Callable[[type], Any] = object.__new__
 
 
 class SimulationError(RuntimeError):
@@ -45,27 +55,29 @@ class Event:
     ``time`` is the cycle it fires at.  A cancelled event stays in the
     heap until it is popped or compacted away, and is skipped either
     way.  Cancelling an event that already fired, or cancelling it
-    twice, does nothing more.
+    twice, does nothing more.  Only :meth:`Simulator.schedule` makes
+    events; it sets every slot, ``_sim`` being the simulator whose heap
+    holds the event (None once it left).
     """
 
     __slots__ = ("time", "callback", "cancelled", "_sim")
 
-    def __init__(
-        self, time: int, callback: Callable[[], None], sim: Simulator
-    ) -> None:
-        self.time = time
-        self.callback = callback
-        self.cancelled = False
-        #: The simulator whose heap holds this event; None once it left.
-        self._sim: Optional[Simulator] = sim
+    time: int
+    callback: Callable[[], None]
+    cancelled: bool
+    _sim: Optional[Simulator]
 
     def cancel(self) -> None:
         """Mark this event so the kernel skips it."""
         if self.cancelled:
             return
         self.cancelled = True
-        if self._sim is not None:
-            self._sim._count_cancel()
+        sim = self._sim
+        if sim is not None:
+            # Count one cancelled entry in the heap; compact past half.
+            sim._cancelled += 1
+            if 2 * sim._cancelled > len(sim._queue) > COMPACT_FLOOR:
+                sim._compact()
 
 
 class Simulator:
@@ -108,7 +120,11 @@ class Simulator:
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
         time = self.now + delay
-        event = Event(time, callback, self)
+        event = _new_event(Event)
+        event.time = time
+        event.callback = callback
+        event.cancelled = False
+        event._sim = self
         heapq.heappush(self._queue, (time, priority, self._seq, event))
         self._seq += 1
         return event
@@ -119,15 +135,13 @@ class Simulator:
         """Schedule ``callback`` at an absolute cycle count."""
         return self.schedule(time - self.now, callback, priority)
 
-    def _count_cancel(self) -> None:
-        """Count one cancelled event in the heap; compact past half."""
-        self._cancelled += 1
+    def _compact(self) -> None:
+        """Drop every cancelled entry from the heap and re-heapify."""
         queue = self._queue
-        if 2 * self._cancelled > len(queue) > COMPACT_FLOOR:
-            # In place: run() holds an alias to the list.
-            queue[:] = [entry for entry in queue if not entry[3].cancelled]
-            heapq.heapify(queue)
-            self._cancelled = 0
+        # In place: run() holds an alias to the list.
+        queue[:] = [entry for entry in queue if not entry[3].cancelled]
+        heapq.heapify(queue)
+        self._cancelled = 0
 
     def stop(self) -> None:
         """Stop the current :meth:`run` after the executing event returns."""

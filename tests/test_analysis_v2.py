@@ -412,6 +412,51 @@ class TestRuleC2CoinFlow:
         )
         assert only(findings, "C2") == []
 
+    @pytest.mark.parametrize(
+        "binding",
+        ["da, db = pair_deltas(1, 2, 3, 4)", "da, db = coins.pair_deltas(h, m)"],
+    )
+    def test_pair_kernel_tuple_is_a_family(self, binding):
+        source = (
+            "class E:\n"
+            "    def go(self, a, b, h, m):\n"
+            f"        {binding}\n"
+            "        self._apply_delta(a, da)\n"
+            "        self._in_flight += db\n"
+        )
+        assert only(lint_source(source, module="repro.core.x"), "C2") == []
+        # Dropping either element of the kernel's tuple leaves a residue.
+        for dropped in ("        self._in_flight += db\n",
+                        "        self._apply_delta(a, da)\n"):
+            leaky = source.replace(dropped, "")
+            assert "C2" in codes(lint_source(leaky, module="repro.core.x"))
+
+    def test_group_kernel_tuple_is_a_family(self):
+        source = (
+            "class E:\n"
+            "    def go(self, sim, center, order, has, maxes):\n"
+            "        deltas = group_deltas(has, maxes)\n"
+            "        def apply():\n"
+            "            self._apply_delta(center, deltas[0])\n"
+            "            for nb, d in zip(order, deltas[1:]):\n"
+            "                self._in_flight += d\n"
+            "        sim.schedule(4, apply)\n"
+        )
+        assert only(lint_source(source, module="repro.core.x"), "C2") == []
+        leaky = source.replace("deltas[1:]", "deltas[2:]")
+        assert "C2" in codes(lint_source(leaky, module="repro.core.x"))
+
+    def test_other_calls_are_not_families(self):
+        findings = lint_source(
+            "class E:\n"
+            "    def go(self, a, b):\n"
+            "        da, db = split(a, b)\n"
+            "        self._apply_delta(a, da)\n"
+            "        self._in_flight += db\n",
+            module="repro.core.x",
+        )
+        assert "C2" in codes(findings)
+
 
 # ================================================================== rule P1
 class TestRuleP1ParallelSafety:

@@ -44,10 +44,6 @@ class TestExchangeResult:
         with pytest.raises(CoinStateError):
             ExchangeResult((1, 2))
 
-    def test_moved_counts_transfers(self):
-        assert ExchangeResult((3, -3)).moved == 3
-        assert ExchangeResult((0, 0)).moved == 0
-
     def test_is_zero(self):
         assert ExchangeResult((0, 0)).is_zero
         assert not ExchangeResult((1, -1)).is_zero

@@ -12,13 +12,6 @@ from repro.core.config import (
 )
 
 
-class TestExchangeMode:
-    def test_message_counts_match_paper(self):
-        # Section III-B: 8 messages for 1-way, 12 for 4-way per rotation.
-        assert ExchangeMode.ONE_WAY.messages_per_rotation == 8
-        assert ExchangeMode.FOUR_WAY.messages_per_rotation == 12
-
-
 class TestValidation:
     def test_defaults_are_valid(self):
         cfg = BlitzCoinConfig()

@@ -182,6 +182,22 @@ class TestThermalCaps:
                 assert engine.coins(t).has <= 10
         engine.check_conservation()
 
+    @pytest.mark.parametrize("make_config", [plain_one_way, plain_four_way])
+    def test_runtime_caps_bind_without_a_config_cap(self, make_config):
+        # The config sets no cap source, so only the runtime overrides
+        # (the CSR-visible control) can clamp an exchange.
+        initial = [0] * 9
+        initial[0] = 60
+        sim, engine = make_engine(d=3, config=make_config(), initial=initial)
+        for t in range(1, 9):
+            engine.set_thermal_cap(t, 4)
+        engine.start()
+        sim.run_for(20_000)
+        assert engine.coins(0).has >= 60 - 8 * 4
+        for t in range(1, 9):
+            assert engine.coins(t).has <= 4
+        engine.check_conservation()
+
 
 class TestRandomPairing:
     def test_escapes_inactive_barrier(self):

@@ -85,19 +85,9 @@ class TestErrorTracker:
         tracker.update_has(0, 10, now=5)
         assert tracker.alpha == pytest.approx(12 / 16)
 
-    def test_per_tile_error_snapshot(self):
-        tracker = ErrorTracker([12, 0], [8, 8], pool=12, threshold=0.5)
-        per = tracker.per_tile_error()
-        assert per[0] == pytest.approx(12 - 6)
-        assert per[1] == pytest.approx(6)
-
     def test_target_for(self):
         tracker = ErrorTracker([12, 0], [8, 8], pool=12, threshold=0.5)
         assert tracker.target_for(0) == pytest.approx(6.0)
-
-    def test_worst_error(self):
-        tracker = ErrorTracker([12, 0], [8, 8], pool=12, threshold=0.5)
-        assert tracker.worst_error() == pytest.approx(6.0)
 
     @given(
         st.lists(st.integers(0, 50), min_size=2, max_size=8),

@@ -1,7 +1,9 @@
 """Golden-trace regression tests for the figure experiments.
 
 These pin the *exact* seeded outcomes (convergence cycles and coin
-packets) of the Fig. 3 / Fig. 4 small configurations, and one SoC run
+packets) of the Fig. 3 / Fig. 4 small configurations, capped trials in
+both exchange modes (per-tile thermal caps plus a neighborhood hotspot
+cap, so the clamped, aborted and spilled exchanges run), and one SoC run
 (the 3x3 SoC's parallel autonomous-vehicle workload at 120 mW) under
 every power-management scheme: its makespan, task finish cycles,
 response times and a digest of every per-tile frequency, power and
@@ -17,6 +19,7 @@ Intentional behavior changes regenerate the fixtures with::
     pytest tests/test_golden_traces.py --update-golden
 """
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -25,6 +28,7 @@ import pytest
 
 from repro.baselines.tokensmart import run_tokensmart_trial
 from repro.core.config import (
+    ExchangeMode,
     plain_four_way,
     plain_one_way,
     preferred_embodiment,
@@ -83,6 +87,31 @@ def _fig04_case(d: int):
             "BC": bc, "TS": ts}
 
 
+def _capped_case(mode: ExchangeMode):
+    """Seeded d=4 and d=6 trials under thermal and hotspot caps.
+
+    The preferred embodiment in ``mode``, with hard caps on three tiles
+    and a neighborhood hotspot cap that binds on some exchanges.  Capped
+    runs need not converge, so a short horizon bounds each trial.
+    """
+    trials = []
+    for d, seeds in ((4, (5000, 5001)), (6, (5000,))):
+        n = d * d
+        config = dataclasses.replace(
+            preferred_embodiment(),
+            mode=mode,
+            thermal_caps={0: 6, n // 2: 12, n - 1: 20},
+            hotspot_neighborhood_cap=160,
+        )
+        for seed in seeds:
+            r = run_convergence_trial(
+                d, config, seed=seed, threshold=THRESHOLD, max_cycles=3000
+            )
+            trials.append({"d": d, "seed": seed, **dataclasses.asdict(r)})
+    return {"experiment": "capped", "mode": mode.value,
+            "threshold": THRESHOLD, "trials": trials}
+
+
 def _trace_digest(trace) -> str:
     """sha256 over a recorder trace's ``(time, repr(value))`` samples."""
     h = hashlib.sha256()
@@ -112,6 +141,8 @@ def _soc_case(budget_mw: float):
 
 
 CASES = {
+    "capped_1way": lambda: _capped_case(ExchangeMode.ONE_WAY),
+    "capped_4way": lambda: _capped_case(ExchangeMode.FOUR_WAY),
     "fig03_1way_d3": lambda: _fig03_case("1-way", 3),
     "fig03_1way_d4": lambda: _fig03_case("1-way", 4),
     "fig03_4way_d3": lambda: _fig03_case("4-way", 3),

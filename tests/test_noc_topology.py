@@ -102,7 +102,6 @@ class TestHelpers:
     def test_square_constructor(self):
         topo = square(5)
         assert topo.n_tiles == 25
-        assert topo.dimension == pytest.approx(5.0)
 
     def test_center_tile(self, mesh_3x3):
         assert mesh_3x3.center_tile() == 4
