@@ -370,11 +370,3 @@ class CentralizedScheme:
             self._begin_loop()
         else:
             self.sim.schedule(self.timing.idle_period, self._begin_loop)
-
-    # ------------------------------------------------------------- read-outs
-    @property
-    def mean_response_cycles(self) -> float:
-        """Mean measured activity-change-to-last-update latency."""
-        if not self.response_times:
-            return 0.0
-        return sum(self.response_times) / len(self.response_times)

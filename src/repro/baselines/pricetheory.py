@@ -7,15 +7,13 @@ the published numbers (6.6-11.4 ms at N=256 in software) and optionally
 scaled down by 2.5 orders of magnitude to model a hypothetical hardware
 implementation — the same convention Section VI-D applies.
 
-This module reproduces that model and also provides a tiny functional
-market simulator (iterative price adjustment / tatonnement) so the
-bidding behaviour itself is exercised by tests, not just its scaling law.
+This module reproduces that response-time model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Tuple
 
 #: Published software response-time measurements (N, seconds).
 PUBLISHED_RESPONSE_S: Tuple[Tuple[int, float], ...] = (
@@ -63,62 +61,3 @@ class PriceTheoryModel:
         if t_w_s <= 0:
             raise ValueError(f"t_w must be positive, got {t_w_s}")
         return (t_w_s / self.tau_s) ** (1.0 / (1.0 + self.exponent))
-
-
-def market_allocation(
-    demands_mw: Dict[int, float],
-    budget_mw: float,
-    *,
-    max_rounds: int = 200,
-    tolerance: float = 1e-6,
-) -> Tuple[Dict[int, float], int]:
-    """Iterative price adjustment allocating a power budget by bidding.
-
-    Each agent demands ``demand / price`` power (isoelastic utility); the
-    auctioneer raises or lowers the price until total demand meets the
-    budget.  Returns the allocation and the number of rounds — the
-    rounds count is what makes PT slower than one-shot policies.
-    """
-    if budget_mw <= 0:
-        raise ValueError(f"budget must be positive, got {budget_mw}")
-    active = {t: d for t, d in demands_mw.items() if d > 0}
-    if not active:
-        return ({t: 0.0 for t in demands_mw}, 0)
-    total_demand = sum(active.values())
-    if total_demand <= budget_mw:
-        return ({t: demands_mw.get(t, 0.0) for t in demands_mw}, 1)
-    lo, hi = 1e-9, None
-    price = 1.0
-    rounds = 0
-    for rounds in range(1, max_rounds + 1):
-        supply = sum(min(d, d / price) for d in active.values())
-        if abs(supply - budget_mw) <= tolerance * budget_mw:
-            break
-        if supply > budget_mw:
-            lo = price
-            price = price * 2 if hi is None else 0.5 * (price + hi)
-        else:
-            hi = price
-            price = 0.5 * (price + lo)
-    allocation = {
-        t: min(d, d / price) if t in active else 0.0
-        for t, d in demands_mw.items()
-    }
-    # Normalize residual rounding so the budget is met exactly.
-    total = sum(allocation.values())
-    if total > 0:
-        scale = min(1.0, budget_mw / total)
-        allocation = {t: a * scale for t, a in allocation.items()}
-    return allocation, rounds
-
-
-def pm_overhead_fraction(model: PriceTheoryModel, n: int, t_w_s: float) -> float:
-    """Fraction of runtime spent in power management (Fig. 21, right).
-
-    With one decision needed every ``T_w / N`` on average, the PM
-    time-fraction is ``T(N) / (T_w / N)``.
-    """
-    if t_w_s <= 0:
-        raise ValueError(f"t_w must be positive, got {t_w_s}")
-    decisions_per_s = n / t_w_s
-    return model.response_time_s(n) * decisions_per_s

@@ -68,14 +68,6 @@ class CampaignRun:
     def total(self) -> int:
         return len(self.units)
 
-    def point_results(self, point_index: int) -> List[Dict[str, Any]]:
-        """This point's trial results, in trial order."""
-        return [
-            r
-            for u, r in zip(self.units, self.results)
-            if u.point_index == point_index
-        ]
-
     def grouped(self) -> List[List[Dict[str, Any]]]:
         """Results grouped by point, in sweep order."""
         n_points = len(self.spec.points())

@@ -5,8 +5,9 @@ Public surface:
 * :class:`BlitzCoinConfig` — every knob of the algorithm (exchange mode,
   refresh interval, dynamic timing, wrap-around, random pairing, thermal
   caps) in one dataclass.
-* :func:`pairwise_exchange` / :func:`group_exchange` — the exact integer
-  coin-update arithmetic of the 1-way and 4-way techniques (Fig. 2).
+* :func:`pair_deltas` / :func:`group_deltas` — the exact integer
+  coin-update arithmetic of the 1-way and 4-way techniques (Fig. 2);
+  :func:`pairwise_exchange` wraps the pair kernel for :class:`TileCoins`.
 * :class:`CoinExchangeEngine` — the decentralized engine: one FSM per
   tile running on the shared event simulator, exchanging packets over a
   :class:`~repro.noc.NocFabric`.
@@ -25,7 +26,6 @@ from repro.core.coins import (
     CoinStateError,
     ExchangeResult,
     TileCoins,
-    group_exchange,
     pairwise_exchange,
 )
 from repro.core.config import BlitzCoinConfig, ConfigError, ExchangeMode
@@ -53,7 +53,6 @@ __all__ = [
     "TrialResult",
     "classify_exchange",
     "global_error",
-    "group_exchange",
     "heterogeneous_scenario",
     "is_local_minimum",
     "pairwise_exchange",

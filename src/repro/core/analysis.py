@@ -89,7 +89,7 @@ def is_local_minimum(
             result = pairwise_exchange(
                 TileCoins(has[t], max_[t]), TileCoins(has[nb], max_[nb])
             )
-            if not result.is_zero:
+            if any(result.deltas):
                 return False
     return True
 

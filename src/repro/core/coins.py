@@ -7,8 +7,8 @@ small error thresholds cannot be reached (Section III-B).
 
 Each technique has one kernel on plain integers (:func:`pair_deltas`,
 :func:`group_deltas`), which the engine calls with the fields of its
-status messages; :func:`pairwise_exchange` and :func:`group_exchange`
-wrap them for callers holding :class:`TileCoins`.
+status messages; :func:`pairwise_exchange` wraps the pair kernel for
+callers holding :class:`TileCoins`.
 """
 
 from __future__ import annotations
@@ -65,11 +65,6 @@ class ExchangeResult:
     def __post_init__(self) -> None:
         if sum(self.deltas) != 0:
             raise _unbalanced(self.deltas)
-
-    @property
-    def is_zero(self) -> bool:
-        """True when no coins moved (drives the dynamic-timing back-off)."""
-        return not any(self.deltas)
 
 
 def pair_deltas(
@@ -159,7 +154,7 @@ def group_deltas(
 ) -> Tuple[int, ...]:
     """The 4-way exchange step on plain integers: one delta per tile.
 
-    The kernel behind :func:`group_exchange`; index 0 is the center.
+    Index 0 is the center tile (Algorithm 1).
     Each tile's share is ``round(total * max / sum_max)``, rounded half
     up in exact integer arithmetic like a simple hardware rounding
     adder.  The deltas sum to zero, or :class:`CoinStateError` is
@@ -231,19 +226,4 @@ def pairwise_exchange(
     """
     return ExchangeResult(
         pair_deltas(i.has, i.max, j.has, j.max, cap_i, cap_j, shake)
-    )
-
-
-def group_exchange(
-    states: Sequence[TileCoins],
-    caps: Optional[Sequence[Optional[int]]] = None,
-) -> ExchangeResult:
-    """The 4-way exchange step over a center tile and its neighbors.
-
-    ``states[0]`` is the center tile (Algorithm 1).  Every tile ends at
-    the same ratio within rounding; the center absorbs the rounding
-    remainder, which keeps the group total exactly conserved.
-    """
-    return ExchangeResult(
-        group_deltas([s.has for s in states], [s.max for s in states], caps)
     )

@@ -690,14 +690,17 @@ class CoinExchangeEngine:
         if fsm.locked and update.exchange_uid == fsm.lock_uid:
             # We were a locked 4-way participant; the center's update
             # (possibly a zero-delta abort) releases us.
-            self._in_flight -= update.delta
-            self._apply_delta(packet.dst, update.delta)
+            if update.delta:
+                self._in_flight -= update.delta
+                self._apply_delta(packet.dst, update.delta)
             self._release_lock(fsm)
-            if update.delta != 0:
+            if update.delta:
                 self._wake(fsm)
             return
-        self._in_flight -= update.delta
-        self._apply_delta(packet.dst, update.delta)
+        # NACKs and zero-delta replies move no coins.
+        if update.delta:
+            self._in_flight -= update.delta
+            self._apply_delta(packet.dst, update.delta)
         if update.exchange_uid == fsm.pending_uid and fsm.busy:
             self._finish_exchange(
                 packet.dst, moved=update.moved, nacked=update.nack

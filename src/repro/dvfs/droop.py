@@ -150,12 +150,6 @@ class DroopSimulator:
         )
 
     # ------------------------------------------------------------ analysis
-    def required_guardband_v(
-        self, events: Sequence[DroopEvent]
-    ) -> float:
-        """Smallest static guard-band that survives all events."""
-        return max((e.depth_v for e in events), default=0.0)
-
     def guardband_tradeoff(
         self,
         f_target_hz: float,

@@ -25,8 +25,7 @@ class DigitalLdo:
 
     The output follows a code change exponentially with time constant
     ``tau_cycles`` (in NoC cycles), the dominant pole of the pass device
-    plus decap.  ``efficiency`` models the linear-regulator loss: input
-    power = output power * v_in / v_out.
+    plus decap.
     """
 
     v_in: float = 1.0
@@ -57,21 +56,10 @@ class DigitalLdo:
         step = (self.v_out_max - self.v_out_min) / (self.n_codes - 1)
         return self.v_out_min + code * step
 
-    def code_for_v(self, v: float) -> int:
-        """Nearest code for a desired output voltage (clamped)."""
-        v = min(max(v, self.v_out_min), self.v_out_max)
-        step = (self.v_out_max - self.v_out_min) / (self.n_codes - 1)
-        return int(round((v - self.v_out_min) / step))
-
     @property
     def code(self) -> int:
         """Currently latched control code."""
         return self._code
-
-    @property
-    def v_target(self) -> float:
-        """Voltage the output is settling toward."""
-        return self.v_for_code(self._code)
 
     # -------------------------------------------------------------- dynamics
     def set_code(self, code: int, now: int) -> None:
@@ -103,21 +91,3 @@ class DigitalLdo:
         if swing <= tolerance_v:
             return 0
         return int(math.ceil(self.tau_cycles * math.log(swing / tolerance_v)))
-
-    # ------------------------------------------------------------ efficiency
-    def input_power_mw(self, output_power_mw: float, now: int) -> float:
-        """Input-rail power for a given load power (linear-regulator loss).
-
-        An LDO drops ``v_in - v_out`` across its pass device at the load
-        current, so efficiency is ``v_out / v_in``.
-        """
-        if output_power_mw < 0:
-            raise LdoError(f"negative load power {output_power_mw}")
-        v = self.v_out(now)
-        if v <= 0:
-            return 0.0
-        return output_power_mw * self.v_in / v
-
-    def efficiency(self, now: int) -> float:
-        """Instantaneous power-conversion efficiency v_out/v_in."""
-        return self.v_out(now) / self.v_in

@@ -43,17 +43,6 @@ class CoinLut:
         idx = min(max(coins, 0), self.n_entries - 1)
         return self._entries[idx]
 
-    def power_budget_for(self, coins: int) -> float:
-        """Power entitlement (mW) the coin count represents."""
-        return max(coins, 0) * self.coin_value_mw
-
     def entries(self) -> Tuple[float, ...]:
         """The raw LUT contents (for CSR-style inspection)."""
         return self._entries
-
-    def verify_monotonic(self) -> bool:
-        """LUT sanity check: more coins never means a lower frequency."""
-        return all(
-            self._entries[i] <= self._entries[i + 1] + 1e-6
-            for i in range(len(self._entries) - 1)
-        )

@@ -45,13 +45,3 @@ class CounterTdc:
         if f_tile_hz < 0:
             raise ValueError(f"negative frequency {f_tile_hz}")
         return int(f_tile_hz / self.resolution_hz)
-
-    def frequency_from_count(self, count: int) -> float:
-        """Center frequency represented by a readout."""
-        if count < 0:
-            raise ValueError(f"negative count {count}")
-        return count * self.resolution_hz
-
-    def quantized(self, f_tile_hz: float) -> float:
-        """Frequency after one measure-then-decode round trip."""
-        return self.frequency_from_count(self.count(f_tile_hz))

@@ -38,10 +38,6 @@ class UvfrSettleResult:
     def final_frequency_hz(self) -> float:
         return self.trajectory[-1][2] if self.trajectory else 0.0
 
-    @property
-    def final_voltage(self) -> float:
-        return self.trajectory[-1][1] if self.trajectory else 0.0
-
 
 class UvfrLoop:
     """One tile's unified V/F regulator."""

@@ -136,20 +136,6 @@ def run_sustained(
     )
 
 
-def keepup_sweep(
-    d: int,
-    t_w_values_us: Sequence[float],
-    *,
-    seed: int = 0,
-    config: Optional[BlitzCoinConfig] = None,
-) -> List[SustainedLoadResult]:
-    """Sweep T_w at fixed N, from churn too fast to follow to easy."""
-    return [
-        run_sustained(d, t_w, seed, config=config)
-        for t_w in t_w_values_us
-    ]
-
-
 def format_rows(results: Sequence[SustainedLoadResult]) -> List[str]:
     rows = []
     for r in results:

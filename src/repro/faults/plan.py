@@ -192,13 +192,6 @@ class FaultPlan:
             return True
         return any(not r.is_null for _, _, r in self.link_overrides)
 
-    def rates_for(self, src: int, dst: int) -> LinkFaultRates:
-        """Effective rates on the directed link ``src -> dst``."""
-        for s, d, rates in self.link_overrides:
-            if s == src and d == dst:
-                return rates
-        return self.link
-
     def with_seed(self, seed: int) -> "FaultPlan":
         """The same plan under a different decision stream."""
         return replace(self, seed=seed)

@@ -20,13 +20,13 @@ manifests stay diffable and byte-stable across runs and Pythons.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Set, Tuple
+from typing import TYPE_CHECKING, Set, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.fuzz.oracles import Execution
     from repro.fuzz.scenario import Scenario
 
-__all__ = ["coverage_tokens", "log2_bucket", "new_tokens"]
+__all__ = ["coverage_tokens", "log2_bucket"]
 
 
 def log2_bucket(n: int) -> int:
@@ -53,10 +53,3 @@ def coverage_tokens(
     for failure in execution.failures:
         tokens.add(f"fail:{failure.key}")
     return tuple(sorted(tokens))
-
-
-def new_tokens(
-    seen: Set[str], tokens: Tuple[str, ...]
-) -> List[str]:
-    """Tokens not yet in ``seen`` (sorted); does NOT mutate ``seen``."""
-    return sorted(t for t in tokens if t not in seen)

@@ -184,7 +184,7 @@ class EngineSection:
 class SocSection:
     """The soc-kind payload: preset, budget, and the task DAG.
 
-    Tasks are stored as the trace_io row shape
+    Tasks are stored as rows
     ``(name, acc_class, work_cycles, deps, tile_hint)`` in topological
     order, so the section serializes canonically and validates through
     the same :class:`~repro.workloads.dag.TaskGraph` machinery the

@@ -148,8 +148,3 @@ class MeshTopology:
     def center_tile(self) -> int:
         """Tile nearest the geometric center of the grid."""
         return self.tile_id(self.width // 2, self.height // 2)
-
-
-def square(d: int) -> MeshTopology:
-    """Convenience constructor for the paper's d x d square SoCs."""
-    return MeshTopology(d, d)

@@ -146,15 +146,6 @@ class PhaseProfiler(ObsSink):
         """Sum of all phase totals (== ``total_s`` after finish)."""
         return sum(self.totals.values())
 
-    def shares(self) -> Dict[str, float]:
-        """phase -> fraction of the measured window (0 when empty)."""
-        total = self.total_s or self.attributed_s()
-        if total <= 0.0:
-            return {}
-        return {
-            phase: self.totals[phase] / total for phase in sorted(self.totals)
-        }
-
     # ------------------------------------------------------------ sink hooks
     def kernel_event(self, time_: int, callback: Callable[[], None]) -> None:
         now = time.perf_counter()

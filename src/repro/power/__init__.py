@@ -22,7 +22,6 @@ from repro.power.budget import (
     MAX_COINS_PER_TILE,
     CoinBudget,
     CoinBudgetError,
-    build_budget,
     build_pooled_budget,
 )
 from repro.power.characterization import (
@@ -46,7 +45,6 @@ __all__ = [
     "CoinBudget",
     "CoinBudgetError",
     "MAX_COINS_PER_TILE",
-    "build_budget",
     "build_pooled_budget",
     "PowerFrequencyCurve",
     "absolute_proportional",

@@ -66,12 +66,6 @@ class TileAreaBudget:
         """Combined BlitzCoin overhead fraction."""
         return sum(self.block_fractions.values())
 
-    def soc_overhead_mm2(self, n_tiles: int) -> float:
-        """Total PM silicon across an N-tile SoC (the kit replicates)."""
-        if n_tiles < 1:
-            raise AreaError(f"n_tiles must be >= 1, got {n_tiles}")
-        return n_tiles * sum(BLITZCOIN_BLOCK_AREAS_MM2.values())
-
     def advantage_over(self, prior: str) -> float:
         """How many times smaller than a published prior design."""
         if prior not in PRIOR_ART_OVERHEADS:

@@ -40,49 +40,6 @@ class CoinBudget:
     pool: int
     max_by_tile: Dict[int, int]
 
-    @property
-    def budget_mw(self) -> float:
-        """Power represented by the whole pool."""
-        return self.pool * self.coin_value_mw
-
-    def target_power_mw(self, tid: int) -> float:
-        """Power entitlement of tile ``tid`` at full convergence."""
-        return self.max_by_tile.get(tid, 0) * self.coin_value_mw
-
-    def coins_to_power(self, coins: int) -> float:
-        """Power represented by a coin count (negative transients allowed)."""
-        return coins * self.coin_value_mw
-
-
-def build_budget(
-    strategy: AllocationStrategy,
-    p_max_by_tile: Mapping[int, float],
-    budget_mw: float,
-    *,
-    max_coins: int = MAX_COINS_PER_TILE,
-) -> CoinBudget:
-    """Size a coin pool for ``budget_mw`` under an allocation strategy.
-
-    The coin value is chosen so the largest per-tile target uses the full
-    counter range (finest granularity the 6-bit counter affords); per-tile
-    ``max`` values are rounded targets, and the pool is their exact sum so
-    coins are conserved by construction.
-    """
-    if max_coins < 1:
-        raise CoinBudgetError(f"max_coins must be >= 1, got {max_coins}")
-    targets = allocate(strategy, p_max_by_tile, budget_mw)
-    biggest = max(targets.values())
-    if biggest <= 0:
-        raise CoinBudgetError("all allocation targets are zero")
-    coin_value = biggest / max_coins
-    max_by_tile = {t: int(round(p / coin_value)) for t, p in targets.items()}
-    pool = sum(max_by_tile.values())
-    if pool < 1:
-        raise CoinBudgetError(
-            f"budget {budget_mw} mW too small to mint a single coin"
-        )
-    return CoinBudget(coin_value_mw=coin_value, pool=pool, max_by_tile=max_by_tile)
-
 
 def build_pooled_budget(
     strategy: AllocationStrategy,
@@ -120,12 +77,3 @@ def build_pooled_budget(
     return CoinBudget(
         coin_value_mw=coin_value, pool=pool, max_by_tile=max_by_tile
     )
-
-
-def quantization_error_mw(budget: CoinBudget, targets: Mapping[int, float]) -> float:
-    """Worst-case per-tile power error introduced by coin quantization."""
-    worst = 0.0
-    for tid, p in targets.items():
-        got = budget.target_power_mw(tid)
-        worst = max(worst, abs(got - p))
-    return worst

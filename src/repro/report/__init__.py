@@ -7,9 +7,8 @@ reproduces that workflow:
 * :mod:`~repro.report.csv_export` — write any experiment result as CSV
   files (one per series), with a manifest describing the figure.
 * :mod:`~repro.report.post_process` — the artifact's
-  ``post_process.py`` equivalent: reconstruct power traces, execution
-  times, and response times from a recorded SoC run, and render
-  quick-look ASCII charts.
+  ``post_process.py`` equivalent: reconstruct power traces from the
+  frequency traces of a recorded SoC run, and its throughput per watt.
 * :mod:`~repro.report.campaign_export` — flatten a campaign run
   (``repro.campaign``) into one CSV row per seeded trial.
 * :mod:`~repro.report.run_report` — the frozen canonical-JSON per-run
@@ -25,11 +24,8 @@ from repro.report.campaign_export import campaign_rows, export_campaign_csv
 from repro.report.csv_export import (
     CsvExportError,
     export_figure,
-    export_packet_stats,
     export_rows,
     export_soc_run,
-    packet_stats_rows,
-    read_csv,
 )
 from repro.report.dashboard import render_dashboard, write_dashboard
 from repro.report.diff import (
@@ -43,12 +39,7 @@ from repro.report.diff import (
     format_diff_table,
     load_thresholds,
 )
-from repro.report.post_process import (
-    ascii_chart,
-    extract_execution_times,
-    extract_response_times,
-    reconstruct_power_trace,
-)
+from repro.report.post_process import reconstruct_power_trace
 from repro.report.run_report import (
     REPORT_SCHEMA,
     ReportError,
@@ -71,23 +62,17 @@ __all__ = [
     "RunReport",
     "ThresholdRule",
     "Thresholds",
-    "ascii_chart",
     "campaign_report",
     "campaign_rows",
     "convergence_report",
     "diff_reports",
     "export_campaign_csv",
     "export_figure",
-    "export_packet_stats",
     "export_rows",
     "export_soc_run",
-    "extract_execution_times",
-    "extract_response_times",
     "format_diff_table",
     "load_run_report",
     "load_thresholds",
-    "packet_stats_rows",
-    "read_csv",
     "reconstruct_power_trace",
     "render_dashboard",
     "soc_report",

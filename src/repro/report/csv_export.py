@@ -13,7 +13,6 @@ import json
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Union
 
-from repro.noc.packet import PacketStats
 from repro.soc.executor import SocRunResult
 
 
@@ -47,12 +46,6 @@ def export_rows(
         for row in rows:
             writer.writerow({k: row.get(k, "") for k in fieldnames})
     return path
-
-
-def read_csv(path: Union[str, Path]) -> List[Dict[str, str]]:
-    """Read a CSV written by :func:`export_rows` back as dict-rows."""
-    with Path(path).open(newline="") as fh:
-        return list(csv.DictReader(fh))
 
 
 def export_figure(
@@ -142,43 +135,6 @@ def export_soc_run(
     meta_path.write_text(json.dumps(meta, indent=2, sort_keys=True))
     out["meta"] = meta_path
     return out
-
-
-def packet_stats_rows(stats: PacketStats) -> List[Dict[str, object]]:
-    """Flatten NoC packet statistics into per-kind dict-rows.
-
-    One row per message kind plus a ``__total__`` summary row carrying
-    the aggregate hop and latency numbers.
-    """
-    rows: List[Dict[str, object]] = [
-        {
-            "kind": kind,
-            "injected": stats.by_type[kind],
-            "total_hops": "",
-            "mean_latency_cycles": "",
-        }
-        for kind in sorted(stats.by_type)
-    ]
-    rows.append(
-        {
-            "kind": "__total__",
-            "injected": stats.injected,
-            "total_hops": stats.total_hops,
-            "mean_latency_cycles": stats.mean_latency,
-        }
-    )
-    return rows
-
-
-def export_packet_stats(
-    path: Union[str, Path], stats: PacketStats
-) -> Path:
-    """Write one simulation's NoC packet statistics as CSV."""
-    return export_rows(
-        path,
-        packet_stats_rows(stats),
-        fieldnames=["kind", "injected", "total_hops", "mean_latency_cycles"],
-    )
 
 
 def fig03_series(result) -> Dict[str, List[Row]]:

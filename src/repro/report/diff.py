@@ -224,10 +224,6 @@ class ReportDiff:
     def regressed(self) -> bool:
         return bool(self.regressions)
 
-    @property
-    def improvements(self) -> List[DiffRow]:
-        return [r for r in self.rows if r.status == "improved"]
-
 
 def _flatten(prefix: str, value: Any, out: Dict[str, float]) -> None:
     """Flatten nested summary dicts into dotted numeric leaves."""

@@ -1,14 +1,13 @@
 """Post-processing of recorded SoC runs (the artifact's post_process.py).
 
 The paper's RTL flow exports waveform CSVs and reconstructs the power
-traces and timing metrics offline (Artifact Appendix E/F).  These
-helpers do the same against a :class:`~repro.soc.executor.SocRunResult`
-or against CSVs written by :mod:`repro.report.csv_export`.
+traces and efficiency metrics offline (Artifact Appendix E/F).  These
+helpers do the same against a :class:`~repro.soc.executor.SocRunResult`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict
 
 import numpy as np
 
@@ -50,30 +49,6 @@ def reconstruct_power_trace(
     return out
 
 
-def extract_execution_times(run: SocRunResult) -> List[Tuple[str, float, float]]:
-    """(task, start_us, duration_us) rows, sorted by start time."""
-    rows = []
-    for name, finish in run.task_finish_cycles.items():
-        start = run.task_start_cycles.get(name, 0)
-        rows.append(
-            (name, cycles_to_us(start), cycles_to_us(finish - start))
-        )
-    return sorted(rows, key=lambda r: r[1])
-
-
-def extract_response_times(run: SocRunResult) -> Dict[str, float]:
-    """Summary statistics of the run's response times (us)."""
-    if not run.response_times_cycles:
-        return {"count": 0, "mean_us": 0.0, "min_us": 0.0, "max_us": 0.0}
-    us = [cycles_to_us(c) for c in run.response_times_cycles]
-    return {
-        "count": len(us),
-        "mean_us": float(np.mean(us)),
-        "min_us": float(np.min(us)),
-        "max_us": float(np.max(us)),
-    }
-
-
 def throughput_per_watt(run: SocRunResult) -> float:
     """Completed accelerator-cycles per second per watt — the closest
     aggregate efficiency metric a heterogeneous SoC admits."""
@@ -90,36 +65,3 @@ def throughput_per_watt(run: SocRunResult) -> float:
     executed /= NOC_FREQUENCY_HZ  # cycle-weighted -> accelerator cycles
     seconds = run.makespan_cycles / NOC_FREQUENCY_HZ
     return executed / seconds / avg_w
-
-
-def ascii_chart(
-    values: Sequence[float],
-    *,
-    width: int = 64,
-    height: int = 10,
-    cap: float = None,
-    label: str = "",
-) -> str:
-    """Quick-look ASCII rendering of a series (power traces etc.)."""
-    if not len(values):
-        return "(empty series)"
-    arr = np.asarray(values, dtype=float)
-    if len(arr) > width:
-        # Downsample by block max so short spikes stay visible.
-        edges = np.linspace(0, len(arr), width + 1).astype(int)
-        arr = np.array(
-            [arr[a:b].max() if b > a else arr[a] for a, b in zip(edges, edges[1:])]
-        )
-    top = max(arr.max(), cap or 0.0) * 1.05 or 1.0
-    lines = []
-    for level in range(height, 0, -1):
-        threshold = top * level / height
-        row = "".join("#" if v >= threshold else " " for v in arr)
-        mark = ""
-        if cap is not None and abs(threshold - cap) <= top / (2 * height):
-            mark = "  <- cap"
-        lines.append(f"{threshold:8.1f} |{row}|{mark}")
-    lines.append(" " * 9 + "-" * len(arr))
-    if label:
-        lines.append(" " * 9 + label)
-    return "\n".join(lines)

@@ -163,10 +163,6 @@ class ServeClient:
             yield chunk
 
     # ------------------------------------------------------------ api helpers
-    async def health(self) -> bool:
-        status, doc = await self.request("GET", "/healthz")
-        return status == 200 and bool(doc.get("ok"))
-
     async def submit(self, doc: Dict[str, Any]) -> Dict[str, Any]:
         """POST one submission; raises :class:`ClientError` on a 4xx."""
         status, body = await self.request("POST", "/submit", doc)

@@ -27,6 +27,7 @@ wall-clock reads live in the server with justified pragmas.
 
 from __future__ import annotations
 
+import html
 import json
 import re
 import threading
@@ -399,12 +400,7 @@ svg text { fill:var(--muted); font-size:11px; }
 
 
 def _esc(value: object) -> str:
-    return (
-        str(value)
-        .replace("&", "&amp;")
-        .replace("<", "&lt;")
-        .replace(">", "&gt;")
-    )
+    return html.escape(str(value), quote=True)
 
 
 def _sparkline(

@@ -47,27 +47,6 @@ class StateTrace:
             return 0.0
         return self.values[idx]
 
-    @property
-    def final_value(self) -> float:
-        """Last recorded sample (0.0 for an empty trace).
-
-        This is the value the step function holds for all times at or
-        after the last sample, i.e. ``value_at(t)`` for any ``t >=
-        times[-1]``.
-        """
-        return self.values[-1] if self.values else 0.0
-
-    def as_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The trace as ``(times, values)`` numpy arrays.
-
-        Times are int64 NoC cycles, values float64; both are copies, so
-        mutating them does not affect the trace.
-        """
-        return (
-            np.asarray(self.times, dtype=np.int64),
-            np.asarray(self.values, dtype=np.float64),
-        )
-
     def __len__(self) -> int:
         return len(self.times)
 
@@ -144,19 +123,3 @@ class TraceRecorder:
     def get(self, name: str) -> Optional[StateTrace]:
         """Trace called ``name`` or None when it was never recorded."""
         return self._traces.get(name)
-
-    def sum_at(self, time: int, prefix: str = "") -> float:
-        """Sum of traces named ``prefix``* at ``time`` (cycles)."""
-        return sum(
-            t.value_at(time)
-            for name, t in self._traces.items()
-            if name.startswith(prefix)
-        )
-
-    def aggregate(self, prefix: str, times: np.ndarray) -> np.ndarray:
-        """Sum of matching traces at each time (cycles) in ``times``."""
-        total = np.zeros(len(times), dtype=float)
-        for name, trace in self._traces.items():
-            if name.startswith(prefix):
-                total += trace.resample(times)
-        return total

@@ -216,12 +216,6 @@ class BlitzCoinPM:
             self._awaiting = False
             _record_response("BC", self.soc.sim.now, response)
 
-    @property
-    def mean_response_cycles(self) -> float:
-        if not self.response_times:
-            return 0.0
-        return sum(self.response_times) / len(self.response_times)
-
 
 class CentralizedPM:
     """C-RR or BC-C: a centralized OCC with per-tile oscillators."""
@@ -309,10 +303,6 @@ class CentralizedPM:
     def response_log(self) -> List[tuple]:
         return self.scheme.response_log
 
-    @property
-    def mean_response_cycles(self) -> float:
-        return self.scheme.mean_response_cycles
-
 
 class StaticPM:
     """Frozen allocation (the silicon comparison baseline of Fig. 19)."""
@@ -353,10 +343,6 @@ class StaticPM:
     def on_tile_end(self, tid: int) -> None:
         _activity_edge("static", tid, "end", self.soc.sim.now)
         self.soc.set_frequency_target(tid, 0.0)
-
-    @property
-    def mean_response_cycles(self) -> float:
-        return 0.0
 
 
 class TokenSmartPM:
@@ -542,12 +528,6 @@ class TokenSmartPM:
             self.response_log.append((self._last_change, response))
             self._awaiting = False
             _record_response("TS", self.soc.sim.now, response)
-
-    @property
-    def mean_response_cycles(self) -> float:
-        if not self.response_times:
-            return 0.0
-        return sum(self.response_times) / len(self.response_times)
 
 
 def build_pm(

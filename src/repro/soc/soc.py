@@ -107,12 +107,6 @@ class Soc:
         """Instantaneous accelerator-tile power."""
         return self.actuators[tid].power_mw(self.active[tid])
 
-    def managed_power_mw(self) -> float:
-        """Instantaneous total power of the PM-domain accelerators."""
-        return sum(
-            self.tile_power_mw(t) for t in self.config.managed_accelerators()
-        )
-
     def p_max_by_tile(self, tiles: Optional[List[int]] = None) -> Dict[int, float]:
         """Peak power per accelerator tile (for allocation sizing)."""
         if tiles is None:

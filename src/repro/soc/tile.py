@@ -31,17 +31,6 @@ class TileKind(enum.Enum):
     AUX = "aux"
 
 
-#: Constant power of fixed-V/F tiles (mW), coarse figures for trace
-#: completeness only — they sit outside the managed budget (Section IV-C).
-FIXED_TILE_POWER_MW: Dict[TileKind, float] = {
-    TileKind.CPU: 45.0,
-    TileKind.MEM: 30.0,
-    TileKind.IO: 10.0,
-    TileKind.SCRATCHPAD: 8.0,
-    TileKind.AUX: 5.0,
-}
-
-
 @dataclass(frozen=True)
 class TileSpec:
     """Static description of one tile slot."""
@@ -134,11 +123,3 @@ class SocConfig:
         if spec.acc_class is None:
             raise SocConfigError(f"tile {tid} is not an accelerator")
         return spec.acc_class
-
-    def fixed_power_mw(self) -> float:
-        """Combined constant power of all non-accelerator tiles."""
-        return sum(
-            FIXED_TILE_POWER_MW.get(s.kind, 0.0)
-            for s in self.tiles.values()
-            if s.kind is not TileKind.ACCELERATOR
-        )

@@ -12,7 +12,7 @@ behaviour matters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -38,11 +38,6 @@ class ThermalConfig:
             raise ThermalError("thermal resistances must be positive")
         if self.c_tile_j_per_k <= 0:
             raise ThermalError("thermal capacitance must be positive")
-
-    @property
-    def tau_vertical_s(self) -> float:
-        """Dominant (vertical) thermal time constant, in seconds."""
-        return self.r_vertical_k_per_w * self.c_tile_j_per_k
 
 
 class ThermalGrid:
@@ -105,12 +100,6 @@ class ThermalGrid:
     @property
     def max_temperature_c(self) -> float:
         return float(self.temperatures.max())
-
-    def hotspots(self, limit_c: float) -> List[int]:
-        """Tiles currently above the temperature limit."""
-        return [
-            int(t) for t in np.flatnonzero(self.temperatures > limit_c)
-        ]
 
     def reset(self) -> None:
         """Return every node to ambient."""

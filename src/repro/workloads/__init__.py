@@ -9,8 +9,6 @@
   the scalability studies.
 * :mod:`~repro.workloads.production` — production-shaped load: diurnal
   multi-tenant arrival traces, bursty phases, load-correlated faults.
-* :mod:`~repro.workloads.trace_io` — CSV persistence for task graphs,
-  phase traces, and arrival traces.
 """
 
 from repro.workloads.apps import (
@@ -21,12 +19,10 @@ from repro.workloads.apps import (
 )
 from repro.workloads.dag import DagError, Task, TaskGraph
 from repro.workloads.scenarios import (
-    DataflowMode,
     build_parallel,
     chain,
     diamond,
     pipeline_frames,
-    repeat_frames,
 )
 from repro.workloads.production import (
     Arrival,
@@ -41,21 +37,11 @@ from repro.workloads.synthetic import (
     random_layered_dag,
     random_phase_trace,
 )
-from repro.workloads.trace_io import (
-    TraceIoError,
-    load_arrival_trace,
-    load_phase_trace,
-    load_taskgraph,
-    save_arrival_trace,
-    save_phase_trace,
-    save_taskgraph,
-)
 
 __all__ = [
     "Arrival",
     "ArrivalTrace",
     "DagError",
-    "DataflowMode",
     "PhaseTrace",
     "Task",
     "TaskGraph",
@@ -72,13 +58,5 @@ __all__ = [
     "correlated_fault_plan",
     "diurnal_arrival_trace",
     "random_layered_dag",
-    "repeat_frames",
     "random_phase_trace",
-    "TraceIoError",
-    "load_arrival_trace",
-    "load_phase_trace",
-    "load_taskgraph",
-    "save_arrival_trace",
-    "save_phase_trace",
-    "save_taskgraph",
 ]

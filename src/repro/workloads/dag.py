@@ -107,23 +107,6 @@ class TaskGraph:
         """Sum of all tasks' work (accelerator cycles)."""
         return sum(t.work_cycles for t in self.tasks.values())
 
-    def critical_path_cycles(self, f_by_class: Dict[str, float], f_ref_hz: float) -> float:
-        """Length of the critical path, in reference-clock cycles, when
-        each class runs at the given frequency — the ideal (infinite
-        power) lower bound on makespan used by efficiency metrics."""
-        finish: Dict[str, float] = {}
-        for name in self._order:
-            task = self.tasks[name]
-            f = f_by_class.get(task.acc_class)
-            if f is None or f <= 0:
-                raise DagError(
-                    f"no frequency for class {task.acc_class!r}"
-                )
-            duration = task.work_cycles * f_ref_hz / f
-            start = max((finish[d] for d in task.deps), default=0.0)
-            finish[name] = start + duration
-        return max(finish.values(), default=0.0)
-
     def max_concurrency(self) -> int:
         """Upper bound on concurrently runnable tasks (antichain width
         via greedy level assignment — exact for the layered graphs used

@@ -106,13 +106,6 @@ class ArrivalTrace:
                 )
 
     # ------------------------------------------------------------- statistics
-    def requests_per_tenant(self) -> Dict[int, int]:
-        """Request count per tenant id (all tenants present, 0 allowed)."""
-        counts = {t: 0 for t in range(self.n_tenants)}
-        for a in self.arrivals:
-            counts[a.tenant] += 1
-        return counts
-
     def window_counts(self, n_windows: int) -> List[int]:
         """Arrival counts in ``n_windows`` equal slices of the horizon."""
         if n_windows < 1:

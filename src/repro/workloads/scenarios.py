@@ -8,17 +8,9 @@ workloads fit under half the power budget (Section VI-A).
 
 from __future__ import annotations
 
-import enum
 from typing import Dict, List, Sequence, Tuple
 
 from repro.workloads.dag import DagError, Task, TaskGraph
-
-
-class DataflowMode(enum.Enum):
-    """The two dataflow shapes the paper evaluates."""
-
-    PARALLEL = "WL-Par"
-    DEPENDENT = "WL-Dep"
 
 
 def build_parallel(specs: Sequence[Tuple[str, str, int]]) -> TaskGraph:
@@ -62,38 +54,6 @@ def diamond(
             deps=tuple(n for n, _, _ in middles),
         )
     )
-    return TaskGraph(tasks)
-
-
-def repeat_frames(graph: TaskGraph, frames: int) -> TaskGraph:
-    """Unroll ``frames`` back-to-back iterations of a graph.
-
-    Frame k+1's roots depend on frame k's sinks, modeling a streaming
-    application processing consecutive frames.
-    """
-    if frames < 1:
-        raise DagError(f"frames must be >= 1, got {frames}")
-    if frames == 1:
-        return graph
-    sinks = [
-        n for n in graph.tasks if not graph.dependents_of(n)
-    ]
-    tasks: List[Task] = []
-    for frame in range(frames):
-        suffix = f"@f{frame}"
-        for name, task in graph.tasks.items():
-            deps = [d + suffix for d in task.deps]
-            if frame > 0 and not task.deps:
-                deps = [s + f"@f{frame - 1}" for s in sinks]
-            tasks.append(
-                Task(
-                    name=name + suffix,
-                    acc_class=task.acc_class,
-                    work_cycles=task.work_cycles,
-                    deps=tuple(deps),
-                    tile_hint=task.tile_hint,
-                )
-            )
     return TaskGraph(tasks)
 
 

@@ -191,7 +191,7 @@ class TestRuleS1StateDiscipline:
             "    def poke(self):\n"
             "        self.tile.coins.has = 0\n"
         )
-        assert lint_source(src, module="repro.soc.validate") == []
+        assert lint_source(src, module="repro.soc.executor") == []
 
 
 class TestRuleU1Units:

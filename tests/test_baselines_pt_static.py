@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.baselines.pricetheory import (
-    PriceTheoryModel,
-    market_allocation,
-    pm_overhead_fraction,
-)
+from repro.baselines.pricetheory import PriceTheoryModel
 
 
 class TestPriceTheoryModel:
@@ -39,33 +35,3 @@ class TestPriceTheoryModel:
             model.response_time_s(0)
         with pytest.raises(ValueError):
             model.n_max(0.0)
-
-    def test_overhead_fraction(self):
-        model = PriceTheoryModel()
-        frac = pm_overhead_fraction(model, 100, 10e-3)
-        assert frac > 0
-
-
-class TestMarketAllocation:
-    def test_underdemanded_budget_satisfies_everyone(self):
-        alloc, rounds = market_allocation({1: 10.0, 2: 20.0}, 100.0)
-        assert alloc == {1: pytest.approx(10.0), 2: pytest.approx(20.0)}
-        assert rounds <= 1
-
-    def test_overdemanded_budget_clears_market(self):
-        demands = {1: 100.0, 2: 100.0, 3: 100.0}
-        alloc, rounds = market_allocation(demands, 120.0)
-        assert sum(alloc.values()) <= 120.0 * (1 + 1e-6)
-        assert rounds > 1
-
-    def test_equal_demands_get_equal_shares(self):
-        alloc, _ = market_allocation({1: 100.0, 2: 100.0}, 100.0)
-        assert alloc[1] == pytest.approx(alloc[2])
-
-    def test_idle_agents_get_nothing(self):
-        alloc, _ = market_allocation({1: 100.0, 2: 0.0}, 50.0)
-        assert alloc[2] == 0.0
-
-    def test_invalid_budget_rejected(self):
-        with pytest.raises(ValueError):
-            market_allocation({1: 1.0}, 0.0)

@@ -247,7 +247,6 @@ class TestGrouping:
         groups = run.grouped()
         assert len(groups) == 2
         assert all(len(g) == spec.trials for g in groups)
-        assert groups[0] == run.point_results(0)
         # Group contents line up with direct in-process execution.
         unit = run.units[0]
         assert canonical_json(groups[0][0]) == canonical_json(

@@ -4,8 +4,8 @@
 on every exchange.  The reference below is the exchange code written
 on :class:`TileCoins` and :class:`ExchangeResult`, clamping through a
 cap helper and rounding through a share helper.  Hypothesis checks
-that both kernels, and the public wrappers over them, give the same
-deltas on random counts, targets, caps and shake, and the explicit
+that both kernels, and ``pairwise_exchange`` over the pair kernel, give
+the same deltas on random counts, targets, caps and shake, and the explicit
 examples pin the zero-max, cap-overflow-abort and spill branches.
 """
 
@@ -20,7 +20,6 @@ from repro.core.coins import (
     ExchangeResult,
     TileCoins,
     group_deltas,
-    group_exchange,
     pair_deltas,
     pairwise_exchange,
 )
@@ -211,7 +210,6 @@ class TestGroupKernel:
         states = [TileCoins(h, m) for h, m in zip(has, maxes)]
         expected = reference_group(states, caps).deltas
         assert group_deltas(has, maxes, caps) == expected
-        assert group_exchange(states, caps).deltas == expected
 
     def test_examples_take_their_branches(self):
         rows = {

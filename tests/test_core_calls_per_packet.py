@@ -8,8 +8,8 @@ counted) while the simulation runs, and divides by the packets the
 fabric delivered.  A change that adds a Python frame to the exchange or
 packet path raises the ratio by about one and trips the ceiling.
 
-The ceilings sit about 15% above the counts measured on CPython 3.11
-(12.5, 17.5 and 17.4 calls per packet).  CPython 3.12 inlines
+The ceilings sit about 17% above the counts measured on CPython 3.11
+(12.3, 17.2 and 17.1 calls per packet).  CPython 3.12 inlines
 comprehensions, so it counts no more calls than 3.11 does.
 """
 
@@ -38,11 +38,11 @@ CASES = {
 }
 
 
-def calls_per_packet(d: int, config: BlitzCoinConfig) -> float:
-    """Python calls per delivered packet over one seeded trial's run."""
+def seeded_rig(d: int, config: BlitzCoinConfig):
+    """An engine rig started on the seeded random initial allocation."""
     rng = rng_for(SEED, d)
     scenario = homogeneous_scenario(d)
-    rig = build_engine_rig(
+    return build_engine_rig(
         d,
         config=dataclasses.replace(config, convergence_threshold=THRESHOLD),
         max_per_tile=scenario.max_by_tile,
@@ -50,6 +50,11 @@ def calls_per_packet(d: int, config: BlitzCoinConfig) -> float:
         rng=rng,
         start=True,
     )
+
+
+def calls_per_packet(d: int, config: BlitzCoinConfig) -> float:
+    """Python calls per delivered packet over one seeded trial's run."""
+    rig = seeded_rig(d, config)
     calls = 0
 
     def count(frame, event, arg):
@@ -75,3 +80,23 @@ def test_calls_per_delivered_packet(name, monkeypatch):
         f"{name}: {ratio:.2f} Python calls per delivered packet, "
         f"ceiling {ceiling}"
     )
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_updates_apply_no_zero_delta(name, monkeypatch):
+    """NACKs and zero-delta replies reach ``_apply_delta`` not at all."""
+    monkeypatch.delenv("BLITZCOIN_SANITIZE", raising=False)
+    d, make_config, _ = CASES[name]
+    rig = seeded_rig(d, make_config())
+    apply_delta = rig.engine._apply_delta
+    zero_applies = 0
+
+    def spy(tid, delta):
+        nonlocal zero_applies
+        if delta == 0 and sys._getframe(1).f_code.co_name == "_on_update":
+            zero_applies += 1
+        apply_delta(tid, delta)
+
+    monkeypatch.setattr(rig.engine, "_apply_delta", spy)
+    assert rig.engine.run_until_converged(2_000_000) is not None
+    assert zero_applies == 0

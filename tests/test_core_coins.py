@@ -8,7 +8,7 @@ from repro.core.coins import (
     CoinStateError,
     ExchangeResult,
     TileCoins,
-    group_exchange,
+    group_deltas,
     pairwise_exchange,
 )
 
@@ -44,10 +44,6 @@ class TestExchangeResult:
         with pytest.raises(CoinStateError):
             ExchangeResult((1, 2))
 
-    def test_is_zero(self):
-        assert ExchangeResult((0, 0)).is_zero
-        assert not ExchangeResult((1, -1)).is_zero
-
 
 class TestPairwiseExchange:
     def test_fig2_example_equalizes_ratios(self):
@@ -67,7 +63,7 @@ class TestPairwiseExchange:
         assert result.deltas == (-10, 10)
 
     def test_both_inactive_no_exchange(self):
-        assert pairwise_exchange(TileCoins(4, 0), TileCoins(0, 0)).is_zero
+        assert pairwise_exchange(TileCoins(4, 0), TileCoins(0, 0)).deltas == (0, 0)
 
     def test_proportional_split_respects_max_weights(self):
         i = TileCoins(30, 10)
@@ -81,7 +77,7 @@ class TestPairwiseExchange:
     def test_converged_pair_is_fixed_point(self):
         i = TileCoins(12, 8)
         j = TileCoins(12, 8)
-        assert pairwise_exchange(i, j).is_zero
+        assert pairwise_exchange(i, j).deltas == (0, 0)
 
     def test_exchange_is_initiator_symmetric_at_convergence(self):
         # The canonical rounding must not ping-pong a coin depending on
@@ -90,8 +86,8 @@ class TestPairwiseExchange:
         j = TileCoins(2, 8)
         r_ij = pairwise_exchange(i, j)
         r_ji = pairwise_exchange(j, i)
-        assert r_ij.is_zero
-        assert r_ji.is_zero
+        assert r_ij.deltas == (0, 0)
+        assert r_ji.deltas == (0, 0)
 
     def test_cap_clamps_receiver(self):
         i = TileCoins(60, 8)
@@ -110,7 +106,7 @@ class TestPairwiseExchange:
         i = TileCoins(60, 8)
         j = TileCoins(60, 8)
         result = pairwise_exchange(i, j, cap_i=10, cap_j=10)
-        assert result.is_zero
+        assert result.deltas == (0, 0)
 
     @given(active_tile, active_tile)
     @settings(max_examples=300, deadline=None)
@@ -137,7 +133,7 @@ class TestPairwiseExchange:
         first = pairwise_exchange(i, j)
         i2 = TileCoins(i.has + first.deltas[0], i.max)
         j2 = TileCoins(j.has + first.deltas[1], j.max)
-        assert pairwise_exchange(i2, j2).is_zero
+        assert pairwise_exchange(i2, j2).deltas == (0, 0)
 
     @given(active_tile, active_tile, st.integers(0, 63), st.integers(0, 63))
     @settings(max_examples=200, deadline=None)
@@ -153,52 +149,44 @@ class TestPairwiseExchange:
 
 class TestGroupExchange:
     def test_fig2_four_way_equalizes_group(self):
-        states = [
-            TileCoins(3, 8),
-            TileCoins(9, 8),
-            TileCoins(5, 8),
-            TileCoins(7, 8),
-            TileCoins(0, 8),
-        ]
-        result = group_exchange(states)
-        total = sum(s.has for s in states)
-        finals = [s.has + d for s, d in zip(states, result.deltas)]
+        has = [3, 9, 5, 7, 0]
+        deltas = group_deltas(has, [8] * 5)
+        total = sum(has)
+        finals = [h + d for h, d in zip(has, deltas)]
         assert sum(finals) == total
         for h in finals:
             assert abs(h - total / 5) <= 1.5
 
     def test_empty_group_rejected(self):
         with pytest.raises(CoinStateError):
-            group_exchange([])
+            group_deltas([], [])
 
     def test_caps_length_mismatch_rejected(self):
         with pytest.raises(CoinStateError):
-            group_exchange([TileCoins(1, 1)], caps=[None, None])
+            group_deltas([1], [1], caps=[None, None])
 
     def test_all_inactive_group_no_exchange(self):
-        states = [TileCoins(5, 0), TileCoins(3, 0)]
-        assert group_exchange(states).is_zero
+        assert group_deltas([5, 3], [0, 0]) == (0, 0)
 
     def test_inactive_members_drain_to_active(self):
-        states = [TileCoins(0, 8), TileCoins(10, 0), TileCoins(6, 0)]
-        result = group_exchange(states)
-        finals = [s.has + d for s, d in zip(states, result.deltas)]
-        assert finals == [16, 0, 0]
+        has = [0, 10, 6]
+        deltas = group_deltas(has, [8, 0, 0])
+        assert [h + d for h, d in zip(has, deltas)] == [16, 0, 0]
 
     @given(st.lists(active_tile, min_size=2, max_size=5))
     @settings(max_examples=200, deadline=None)
     def test_group_conservation_property(self, states):
-        result = group_exchange(states)
-        assert sum(result.deltas) == 0
+        deltas = group_deltas([s.has for s in states], [s.max for s in states])
+        assert sum(deltas) == 0
 
     @given(st.lists(active_tile, min_size=2, max_size=5))
     @settings(max_examples=200, deadline=None)
     def test_group_fairness_property(self, states):
-        result = group_exchange(states)
+        deltas = group_deltas([s.has for s in states], [s.max for s in states])
         total = sum(s.has for s in states)
         sum_max = sum(s.max for s in states)
         alpha = total / sum_max
-        finals = [s.has + d for s, d in zip(states, result.deltas)]
+        finals = [s.has + d for s, d in zip(states, deltas)]
         # Neighbors land within one coin of fair; the center additionally
         # absorbs the group rounding remainder (at most one coin per
         # neighbor).
@@ -210,7 +198,9 @@ class TestGroupExchange:
     @settings(max_examples=150, deadline=None)
     def test_group_caps_property(self, states, cap):
         caps = [cap] * len(states)
-        result = group_exchange(states, caps)
-        finals = [s.has + d for s, d in zip(states, result.deltas)]
+        deltas = group_deltas(
+            [s.has for s in states], [s.max for s in states], caps
+        )
+        finals = [s.has + d for s, d in zip(states, deltas)]
         for h, s in zip(finals, states):
             assert h <= max(cap, s.has)

@@ -18,11 +18,6 @@ class TestDigitalLdo:
         assert ldo.v_for_code(0) == pytest.approx(0.5)
         assert ldo.v_for_code(63) == pytest.approx(0.98)
 
-    def test_code_for_v_roundtrip(self):
-        ldo = DigitalLdo()
-        for code in (0, 17, 42, 63):
-            assert ldo.code_for_v(ldo.v_for_code(code)) == code
-
     def test_code_out_of_range_rejected(self):
         ldo = DigitalLdo(n_codes=64)
         with pytest.raises(LdoError):
@@ -33,13 +28,13 @@ class TestDigitalLdo:
         ldo.set_code(63, now=0)
         v1 = ldo.v_out(40)
         v2 = ldo.v_out(400)
-        assert v1 < v2 <= ldo.v_target + 1e-9
+        assert v1 < v2 <= ldo.v_for_code(63) + 1e-9
 
     def test_settled_after_settle_cycles(self):
         ldo = DigitalLdo()
         ldo.set_code(63, now=0)
         t = ldo.settle_cycles(tolerance_v=0.005)
-        assert abs(ldo.v_out(t) - ldo.v_target) <= 0.005 + 1e-9
+        assert abs(ldo.v_out(t) - ldo.v_for_code(63)) <= 0.005 + 1e-9
 
     def test_retarget_mid_settle_starts_from_current_voltage(self):
         ldo = DigitalLdo()
@@ -53,13 +48,6 @@ class TestDigitalLdo:
         ldo.set_code(10, now=100)
         with pytest.raises(LdoError):
             ldo.v_out(50)
-
-    def test_linear_regulator_efficiency(self):
-        ldo = DigitalLdo(v_in=1.0)
-        ldo.set_code(0, now=0)
-        v = ldo.v_out(10_000)
-        assert ldo.efficiency(10_000) == pytest.approx(v / 1.0)
-        assert ldo.input_power_mw(10.0, 10_000) == pytest.approx(10.0 / v)
 
     def test_invalid_configuration_rejected(self):
         with pytest.raises(LdoError):
@@ -120,7 +108,7 @@ class TestCounterTdc:
     def test_roundtrip_within_one_lsb(self):
         tdc = CounterTdc()
         f = 443.7e6
-        assert abs(tdc.quantized(f) - f) < tdc.resolution_hz
+        assert abs(tdc.count(f) * tdc.resolution_hz - f) < tdc.resolution_hz
 
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ValueError):
@@ -133,7 +121,7 @@ class TestCounterTdc:
     @settings(max_examples=100, deadline=None)
     def test_quantization_error_bounded_property(self, f):
         tdc = CounterTdc()
-        assert 0 <= f - tdc.quantized(f) < tdc.resolution_hz
+        assert 0 <= f - tdc.count(f) * tdc.resolution_hz < tdc.resolution_hz
 
 
 class TestPidController:
@@ -181,7 +169,7 @@ class TestPidController:
 class TestCoinLut:
     def test_monotonic(self):
         lut = CoinLut(get_curve("FFT"), coin_value_mw=1.0)
-        assert lut.verify_monotonic()
+        assert list(lut.entries()) == sorted(lut.entries())
 
     def test_entry_power_budget_respected(self):
         curve = get_curve("FFT")
@@ -203,11 +191,6 @@ class TestCoinLut:
         curve = get_curve("FFT")
         lut = CoinLut(curve, coin_value_mw=curve.p_max_mw / 40)
         assert lut.frequency_for(63) == pytest.approx(curve.spec.f_max_hz)
-
-    def test_power_budget_for(self):
-        lut = CoinLut(get_curve("FFT"), coin_value_mw=2.0)
-        assert lut.power_budget_for(10) == pytest.approx(20.0)
-        assert lut.power_budget_for(-3) == 0.0
 
     def test_invalid_construction_rejected(self):
         with pytest.raises(ValueError):

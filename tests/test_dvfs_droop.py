@@ -97,10 +97,6 @@ class TestConventionalResponse:
 
 
 class TestTradeoff:
-    def test_required_guardband_is_worst_depth(self, sim):
-        events = [DroopEvent(0, 0.03, 10), DroopEvent(50, 0.09, 10)]
-        assert sim.required_guardband_v(events) == pytest.approx(0.09)
-
     def test_tradeoff_rows_monotone(self, sim):
         rows = sim.guardband_tradeoff(600e6, [0.02, 0.05, 0.10])
         depths = [r[0] for r in rows]

@@ -30,8 +30,8 @@ class TestUvfrLoop:
 
     def test_voltage_tracks_frequency_target(self):
         loop = build_uvfr_loop(get_curve("FFT"))
-        low = loop.transition(350e6).final_voltage
-        high = loop.transition(750e6).final_voltage
+        low = loop.transition(350e6).trajectory[-1][1]
+        high = loop.transition(750e6).trajectory[-1][1]
         assert high > low
 
     def test_trajectory_is_recorded(self):

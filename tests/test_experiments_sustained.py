@@ -5,7 +5,6 @@ import pytest
 from repro.experiments.sustained_load import (
     SustainedLoadResult,
     format_rows,
-    keepup_sweep,
     run_sustained,
 )
 
@@ -40,12 +39,11 @@ class TestRunSustained:
 
 class TestSweep:
     def test_fraction_monotone_in_tw(self):
-        results = keepup_sweep(3, [10.0, 300.0], seed=4)
+        results = [run_sustained(3, t_w, 4) for t_w in (10.0, 300.0)]
         fractions = [r.converged_fraction for r in results]
         assert fractions[0] <= fractions[-1]
 
     def test_format_rows(self):
-        results = keepup_sweep(3, [50.0], seed=0)
-        rows = format_rows(results)
+        rows = format_rows([run_sustained(3, 50.0, 0)])
         assert len(rows) == 1
         assert "N=" in rows[0]

@@ -1,5 +1,6 @@
 """Tests for the artifact-style results-export script."""
 
+import csv
 import json
 import runpy
 import sys
@@ -37,9 +38,8 @@ class TestExportScript:
         run_script(
             ["--quick", "--out", str(tmp_path), "--only", "fig13"]
         )
-        from repro.report.csv_export import read_csv
-
-        rows = read_csv(tmp_path / "fig13_FFT.csv")
+        with (tmp_path / "fig13_FFT.csv").open(newline="") as fh:
+            rows = list(csv.DictReader(fh))
         assert float(rows[0]["v"]) == 0.5
         assert float(rows[-1]["v"]) == 1.0
 

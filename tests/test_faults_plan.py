@@ -64,12 +64,6 @@ class TestFaultPlan:
         assert plan.has_packet_faults
         assert not plan.is_null
 
-    def test_rates_for_override(self):
-        fast = LinkFaultRates(drop=0.5)
-        plan = FaultPlan(link_overrides=((2, 3, fast),))
-        assert plan.rates_for(2, 3) is fast
-        assert plan.rates_for(3, 2) == plan.link
-
     def test_duplicate_override_rejected(self):
         r = LinkFaultRates(drop=0.1)
         with pytest.raises(FaultPlanError):

@@ -9,7 +9,7 @@ deterministic.
 
 import pytest
 
-from repro.fuzz.coverage import coverage_tokens, log2_bucket, new_tokens
+from repro.fuzz.coverage import coverage_tokens, log2_bucket
 from repro.fuzz.generate import generate_scenario
 from repro.fuzz.oracles import (
     Failure,
@@ -129,12 +129,6 @@ class TestCoverage:
         assert tokens == tuple(sorted(tokens))
         assert tokens == coverage_tokens(SMALL, execution)
         assert f"kind:engine:{SMALL.variant}" in tokens
-
-    def test_new_tokens_does_not_mutate_seen(self):
-        seen = {"a"}
-        fresh = new_tokens(seen, ("a", "b", "c"))
-        assert fresh == ["b", "c"]
-        assert seen == {"a"}
 
     def test_outcome_failure_keys(self):
         outcome = FuzzOutcome(

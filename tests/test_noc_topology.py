@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.noc.topology import MeshTopology, TopologyError, square
+from repro.noc.topology import MeshTopology, TopologyError
 
 
 class TestCoordinates:
@@ -99,9 +99,5 @@ class TestRing:
 
 
 class TestHelpers:
-    def test_square_constructor(self):
-        topo = square(5)
-        assert topo.n_tiles == 25
-
     def test_center_tile(self, mesh_3x3):
         assert mesh_3x3.center_tile() == 4

@@ -198,7 +198,9 @@ class TestCompare:
         diff = compare_bench_artifacts(base, fast)
         assert not diff.regressed
         assert any(
-            r.metric.startswith("demo.wall_s") for r in diff.improvements
+            r.metric.startswith("demo.wall_s")
+            for r in diff.rows
+            if r.status == "improved"
         )
 
     def test_suite_mismatch_rejected(self):

@@ -78,7 +78,7 @@ class TestAttribution:
     def test_shares_sum_to_one(self):
         with PhaseProfiler() as prof:
             _workload()
-        assert sum(prof.shares().values()) == pytest.approx(1.0, abs=1e-9)
+        assert sum(prof.totals.values()) == pytest.approx(prof.total_s, rel=1e-9)
 
     def test_finish_without_start_is_noop(self):
         prof = PhaseProfiler()

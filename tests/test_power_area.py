@@ -29,11 +29,6 @@ class TestTileAreaBudget:
             16 * large.total_fraction
         )
 
-    def test_soc_overhead_replicates_per_tile(self):
-        budget = TileAreaBudget(1.0)
-        one = budget.soc_overhead_mm2(1)
-        assert budget.soc_overhead_mm2(400) == pytest.approx(400 * one)
-
     def test_advantage_over_prior_art(self):
         budget = TileAreaBudget(1.0)
         # Switched-capacitor designs are 30-70x larger.
@@ -44,11 +39,8 @@ class TestTileAreaBudget:
     def test_invalid_inputs_rejected(self):
         with pytest.raises(AreaError):
             TileAreaBudget(0.0)
-        budget = TileAreaBudget(1.0)
         with pytest.raises(AreaError):
-            budget.soc_overhead_mm2(0)
-        with pytest.raises(AreaError):
-            budget.advantage_over("fictional design")
+            TileAreaBudget(1.0).advantage_over("fictional design")
 
 
 class TestComparison:

@@ -8,43 +8,11 @@ from repro.power.allocation import AllocationStrategy
 from repro.power.budget import (
     MAX_COINS_PER_TILE,
     CoinBudgetError,
-    build_budget,
     build_pooled_budget,
-    quantization_error_mw,
 )
 
 RP = AllocationStrategy.RELATIVE_PROPORTIONAL
 AP = AllocationStrategy.ABSOLUTE_PROPORTIONAL
-
-
-class TestTileGranularBudget:
-    def test_largest_target_uses_full_counter(self):
-        budget = build_budget(RP, {1: 100.0, 2: 50.0}, 75.0)
-        assert max(budget.max_by_tile.values()) == MAX_COINS_PER_TILE
-
-    def test_pool_equals_sum_of_maxes(self):
-        budget = build_budget(RP, {1: 100.0, 2: 50.0}, 75.0)
-        assert budget.pool == sum(budget.max_by_tile.values())
-
-    def test_power_roundtrip(self):
-        budget = build_budget(RP, {1: 100.0, 2: 50.0}, 75.0)
-        assert budget.budget_mw == pytest.approx(75.0, rel=0.05)
-
-    def test_target_power_lookup(self):
-        budget = build_budget(RP, {1: 100.0, 2: 50.0}, 75.0)
-        assert budget.target_power_mw(1) == pytest.approx(50.0, rel=0.05)
-        assert budget.target_power_mw(99) == 0.0
-
-    def test_quantization_error_bounded_by_half_coin(self):
-        targets = {1: 50.0, 2: 25.0}
-        budget = build_budget(RP, {1: 100.0, 2: 50.0}, 75.0)
-        assert quantization_error_mw(budget, targets) <= (
-            budget.coin_value_mw / 2 + 1e-9
-        )
-
-    def test_invalid_max_coins_rejected(self):
-        with pytest.raises(CoinBudgetError):
-            build_budget(RP, {1: 10.0}, 5.0, max_coins=0)
 
 
 class TestPooledBudget:
@@ -78,9 +46,9 @@ class TestPooledBudget:
         budget = build_pooled_budget(RP, {1: 500.0, 2: 1.0}, 100.0)
         assert budget.max_by_tile[2] >= 1
 
-    def test_negative_coin_power_allowed_transiently(self):
-        budget = build_pooled_budget(RP, {1: 176.0}, 126.0)
-        assert budget.coins_to_power(-3) == pytest.approx(-6.0)
+    def test_invalid_max_coins_rejected(self):
+        with pytest.raises(CoinBudgetError):
+            build_pooled_budget(RP, {1: 10.0}, 5.0, max_coins=0)
 
     @given(
         st.dictionaries(
@@ -105,6 +73,6 @@ class TestPooledBudget:
         for strategy in (AP, RP):
             budget = build_pooled_budget(strategy, p_max, budget_mw)
             assert budget.pool >= 1
-            assert budget.budget_mw == pytest.approx(
+            assert budget.pool * budget.coin_value_mw == pytest.approx(
                 budget_mw, rel=0.5 / MAX_COINS_PER_TILE + 1e-6
             )

@@ -1,5 +1,6 @@
 """Tests for CSV export and post-processing."""
 
+import csv
 import json
 
 import numpy as np
@@ -12,17 +13,11 @@ from repro.obs.metrics import MetricsRegistry
 from repro.report.csv_export import (
     CsvExportError,
     export_figure,
-    export_packet_stats,
     export_rows,
     export_soc_run,
     fig03_series,
-    packet_stats_rows,
-    read_csv,
 )
 from repro.report.post_process import (
-    ascii_chart,
-    extract_execution_times,
-    extract_response_times,
     reconstruct_power_trace,
     throughput_per_watt,
 )
@@ -49,7 +44,8 @@ class TestExportRows:
     def test_roundtrip(self, tmp_path):
         rows = [{"a": 1, "b": 2.5}, {"a": 3, "b": 4.5}]
         path = export_rows(tmp_path / "x.csv", rows)
-        back = read_csv(path)
+        with path.open(newline="") as fh:
+            back = list(csv.DictReader(fh))
         assert back[0]["a"] == "1"
         assert back[1]["b"] == "4.5"
 
@@ -98,7 +94,8 @@ class TestExportSocRun:
         run, _ = small_run
         written = export_soc_run(tmp_path, run, tag="t")
         assert set(written) >= {"power", "tasks", "meta"}
-        power = read_csv(written["power"])
+        with written["power"].open(newline="") as fh:
+            power = list(csv.DictReader(fh))
         assert float(power[-1]["time_us"]) > 0
         meta = json.loads(written["meta"].read_text())
         assert meta["budget_mw"] == 120.0
@@ -120,24 +117,6 @@ def _stats_with_traffic() -> PacketStats:
 
 
 class TestPacketStatsExport:
-    def test_rows_have_per_kind_and_total(self):
-        rows = packet_stats_rows(_stats_with_traffic())
-        by_kind = {r["kind"]: r for r in rows}
-        assert by_kind["coin_status"]["injected"] == 3
-        assert by_kind["coin_update"]["injected"] == 2
-        assert by_kind["__total__"]["injected"] == 6
-        assert by_kind["__total__"]["total_hops"] == 12
-        assert by_kind["__total__"]["mean_latency_cycles"] == 4.0
-        assert rows[-1]["kind"] == "__total__"
-
-    def test_csv_roundtrip(self, tmp_path):
-        path = export_packet_stats(
-            tmp_path / "pkts.csv", _stats_with_traffic()
-        )
-        back = read_csv(path)
-        assert back[0]["kind"] == "coin_status"
-        assert back[-1]["injected"] == "6"
-
     def test_publish_into_metrics_registry(self):
         registry = MetricsRegistry()
         stats = _stats_with_traffic()
@@ -174,34 +153,6 @@ class TestPostProcess:
             float(np.mean(recorded)), rel=0.1
         )
 
-    def test_execution_times_sorted_and_positive(self, small_run):
-        run, _ = small_run
-        rows = extract_execution_times(run)
-        assert len(rows) == 2
-        starts = [r[1] for r in rows]
-        assert starts == sorted(starts)
-        assert all(r[2] > 0 for r in rows)
-
-    def test_response_summary(self, small_run):
-        run, _ = small_run
-        summary = extract_response_times(run)
-        assert summary["count"] == len(run.response_times_cycles)
-        if summary["count"]:
-            assert summary["min_us"] <= summary["mean_us"] <= summary["max_us"]
-
     def test_throughput_per_watt_positive(self, small_run):
         run, _ = small_run
         assert throughput_per_watt(run) > 0
-
-    def test_ascii_chart_shape(self):
-        chart = ascii_chart([1, 5, 3, 8, 2], width=10, height=4, cap=6.0)
-        lines = chart.splitlines()
-        assert len(lines) == 5
-        assert any("cap" in line for line in lines)
-
-    def test_ascii_chart_downsamples_long_series(self):
-        chart = ascii_chart(list(range(1000)), width=20, height=4)
-        assert len(chart.splitlines()[0]) < 60
-
-    def test_ascii_chart_empty(self):
-        assert "empty" in ascii_chart([])

@@ -193,7 +193,9 @@ class TestDiffReports:
         )
         diff = diff_reports(BASE, better)
         assert not diff.regressed
-        assert [r.metric for r in diff.improvements] == ["cycles.mean"]
+        assert [r.metric for r in diff.rows if r.status == "improved"] == [
+            "cycles.mean"
+        ]
 
     def test_missing_alert_monitor_counts_as_zero(self):
         stripped = _report(dict(BASE.summary), alert_counts={})

@@ -26,6 +26,7 @@ from repro.serve.telemetry import (
     AccessLog,
     PrometheusParseError,
     ServiceTelemetry,
+    _sparkline,
     endpoint_of,
     render_fleet_dashboard,
     render_prometheus,
@@ -401,6 +402,25 @@ class TestFleetDashboard:
             assert expected in html, expected
         for banned in BANNED_DASHBOARD_SUBSTRINGS:
             assert banned not in html, banned
+
+    def test_quotes_and_markup_are_escaped(self):
+        hostile = "a'b\"c<d>&e"
+        escaped = "a&#x27;b&quot;c&lt;d&gt;&amp;e"
+        page = render_fleet_dashboard(
+            ServiceTelemetry(),
+            stats={},
+            queue_depth=0,
+            lanes_busy=0,
+            lanes_total=1,
+            store_root=hostile,
+            uptime_s=0.0,
+            now_s=0.0,
+        )
+        assert f"store {escaped} · " in page
+        svg = _sparkline([1.0, 2.0], label=hostile)
+        assert f"aria-label='{escaped}'" in svg
+        assert f"<text x='2' y='11'>{escaped} · peak 2</text>" in svg
+        assert hostile not in page + svg
 
     def test_dashboard_is_get_only(self, tmp_path):
         async def body(server, host, port):

@@ -85,38 +85,6 @@ class TestStateTrace:
             t.integral(3, 16)
         )
 
-    def test_final_value(self):
-        t = StateTrace("p")
-        assert t.final_value == 0.0
-        t.record(0, 2.0)
-        t.record(10, 4.0)
-        assert t.final_value == 4.0
-        assert t.final_value == t.value_at(10_000)
-
-    def test_as_arrays_round_trip(self):
-        t = StateTrace("p")
-        t.record(0, 1.0)
-        t.record(10, 2.5)
-        times, values = t.as_arrays()
-        assert times.dtype == np.int64
-        assert values.dtype == np.float64
-        assert list(times) == [0, 10]
-        assert list(values) == [1.0, 2.5]
-
-    def test_as_arrays_are_copies(self):
-        t = StateTrace("p")
-        t.record(0, 1.0)
-        times, values = t.as_arrays()
-        times[0] = 99
-        values[0] = 99.0
-        assert t.times == [0]
-        assert t.values == [1.0]
-
-    def test_as_arrays_empty(self):
-        times, values = StateTrace("p").as_arrays()
-        assert len(times) == 0
-        assert len(values) == 0
-
     def test_mean(self):
         t = StateTrace("p")
         t.record(0, 2.0)
@@ -155,20 +123,6 @@ class TestTraceRecorder:
     def test_get_missing_returns_none(self):
         r = TraceRecorder()
         assert r.get("nope") is None
-
-    def test_sum_at_with_prefix(self):
-        r = TraceRecorder()
-        r.record("power/1", 0, 5.0)
-        r.record("power/2", 0, 7.0)
-        r.record("freq/1", 0, 100.0)
-        assert r.sum_at(0, prefix="power/") == pytest.approx(12.0)
-
-    def test_aggregate_prefix_series(self):
-        r = TraceRecorder()
-        r.record("power/1", 0, 1.0)
-        r.record("power/2", 10, 2.0)
-        out = r.aggregate("power/", np.array([0, 10]))
-        assert list(out) == [1.0, 3.0]
 
     def test_names_sorted(self):
         r = TraceRecorder()

@@ -113,6 +113,3 @@ class TestPresets:
         cfg = soc_3x3()
         with pytest.raises(SocConfigError):
             cfg.class_of(cfg.cpu_tile())
-
-    def test_fixed_power_positive(self):
-        assert soc_3x3().fixed_power_mw() > 0

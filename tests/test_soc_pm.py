@@ -43,7 +43,7 @@ class TestBlitzCoinPM:
     def test_pool_sized_net_of_idle_floor(self):
         soc = build_soc("3x3")
         pm = BlitzCoinPM(soc, 120.0)
-        assert pm.coin_budget.budget_mw < 120.0
+        assert pm.coin_budget.pool * pm.coin_budget.coin_value_mw < 120.0
         assert pm.coin_budget.pool == 63
 
     def test_budget_below_idle_floor_rejected(self):

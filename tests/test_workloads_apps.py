@@ -14,7 +14,6 @@ from repro.workloads.scenarios import (
     chain,
     class_census,
     diamond,
-    repeat_frames,
 )
 from repro.workloads.synthetic import random_phase_trace
 
@@ -43,17 +42,6 @@ class TestScenarioBuilders:
     def test_diamond_requires_middles(self):
         with pytest.raises(Exception):
             diamond(("s", "FFT", 1), [], ("k", "FFT", 1))
-
-    def test_repeat_frames_chains_iterations(self):
-        g = build_parallel([("a", "FFT", 10)])
-        unrolled = repeat_frames(g, 3)
-        assert len(unrolled) == 3
-        assert unrolled["a@f1"].deps == ("a@f0",)
-        assert unrolled["a@f2"].deps == ("a@f1",)
-
-    def test_repeat_single_frame_identity(self):
-        g = build_parallel([("a", "FFT", 10)])
-        assert repeat_frames(g, 1) is g
 
     def test_class_census(self):
         g = build_parallel(

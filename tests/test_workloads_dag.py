@@ -82,16 +82,6 @@ class TestTaskGraph:
     def test_max_concurrency_of_diamond(self):
         assert self._diamond().max_concurrency() == 2
 
-    def test_critical_path(self):
-        g = self._diamond()
-        cp = g.critical_path_cycles({"FFT": 800e6}, 800e6)
-        assert cp == pytest.approx(30.0)  # 3 levels x 10 cycles
-
-    def test_critical_path_missing_class_rejected(self):
-        g = self._diamond()
-        with pytest.raises(DagError):
-            g.critical_path_cycles({}, 800e6)
-
     def test_container_protocol(self):
         g = self._diamond()
         assert len(g) == 4

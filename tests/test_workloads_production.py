@@ -62,10 +62,6 @@ class TestArrivalValidation:
 
 
 class TestArrivalTraceStatistics:
-    def test_requests_per_tenant_includes_idle_tenants(self):
-        trace = trace_of([req(0, tenant=1), req(10, tenant=1)])
-        assert trace.requests_per_tenant() == {0: 0, 1: 2, 2: 0}
-
     def test_window_counts_partition_the_horizon(self):
         trace = trace_of([req(0), req(49_999), req(50_000), req(99_999)])
         assert trace.window_counts(2) == [2, 2]
