@@ -12,55 +12,36 @@ same invariants dynamically, event by event, when
 See ``docs/STATIC_ANALYSIS.md``.
 """
 
-from repro.analysis.baseline import (
-    BaselineError,
-    diff_against_baseline,
-    load_baseline,
-    write_baseline,
-)
-from repro.analysis.cache import CacheError, ResultCache
-from repro.analysis.lint import (
-    LINT_VERSION,
-    RULES,
-    Finding,
-    LintError,
-    lint_file,
-    lint_paths,
-    lint_source,
-    render_json,
-    render_text,
-)
-from repro.analysis.sanitize import (
-    Sanitizer,
-    SanitizerError,
-    TraceEntry,
-    attach_sanitizer,
-    sanitize_enabled,
-)
-from repro.analysis.sarif import render_sarif, to_sarif, validate_sarif
+from repro import lazy_exports
 
-__all__ = [
-    "BaselineError",
-    "CacheError",
-    "Finding",
-    "LINT_VERSION",
-    "LintError",
-    "RULES",
-    "ResultCache",
-    "Sanitizer",
-    "SanitizerError",
-    "TraceEntry",
-    "attach_sanitizer",
-    "diff_against_baseline",
-    "lint_file",
-    "lint_paths",
-    "lint_source",
-    "load_baseline",
-    "render_json",
-    "render_sarif",
-    "render_text",
-    "sanitize_enabled",
-    "to_sarif",
-    "validate_sarif",
-    "write_baseline",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "baseline": [
+            "BaselineError",
+            "diff_against_baseline",
+            "load_baseline",
+            "write_baseline",
+        ],
+        "cache": ["CacheError", "ResultCache"],
+        "lint": [
+            "LINT_VERSION",
+            "RULES",
+            "Finding",
+            "LintError",
+            "lint_file",
+            "lint_paths",
+            "lint_source",
+            "render_json",
+            "render_text",
+        ],
+        "sanitize": [
+            "Sanitizer",
+            "SanitizerError",
+            "TraceEntry",
+            "attach_sanitizer",
+            "sanitize_enabled",
+        ],
+        "sarif": ["render_sarif", "to_sarif", "validate_sarif"],
+    },
+)

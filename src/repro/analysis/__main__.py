@@ -2,7 +2,8 @@
 
 Thin wrapper over the same implementation the ``blitzcoin-repro lint``
 subcommand uses, so CI can invoke the linter without installing the
-console script.
+console script.  Only :func:`run_lint` imports the linter, so the CLI
+builds its ``lint`` parser without loading it.
 """
 
 from __future__ import annotations
@@ -12,21 +13,7 @@ import sys
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from repro.analysis.baseline import (
-    BaselineError,
-    diff_against_baseline,
-    load_baseline,
-    write_baseline,
-)
-from repro.analysis.cache import CacheError, ResultCache
-from repro.analysis.lint import (
-    RULES,
-    LintError,
-    lint_paths,
-    render_json,
-    render_text,
-)
-from repro.analysis.sarif import render_sarif
+from repro.analysis.findings import RULES, LintError
 
 DEFAULT_BASELINE = "lint-baseline.json"
 DEFAULT_CACHE = ".blitzlint-cache.json"
@@ -131,6 +118,16 @@ def run_lint(args: argparse.Namespace) -> int:
     2 usage/parse/baseline/cache error (one-line diagnostic, no
     traceback).
     """
+    from repro.analysis.baseline import (
+        BaselineError,
+        diff_against_baseline,
+        load_baseline,
+        write_baseline,
+    )
+    from repro.analysis.cache import CacheError, ResultCache
+    from repro.analysis.lint import lint_paths, render_json, render_text
+    from repro.analysis.sarif import render_sarif
+
     paths = args.paths or [default_lint_target()]
     rules: Optional[List[str]] = None
     if args.rules:

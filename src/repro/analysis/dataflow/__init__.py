@@ -5,27 +5,20 @@ This package is the machinery under blitzlint's v2 rule families
 ``repro.analysis.passes``); it knows nothing about any specific rule.
 """
 
-from repro.analysis.dataflow.cfg import (
-    CFG,
-    BasicBlock,
-    FunctionUnit,
-    build_cfg,
-    functions_in,
-    iter_acyclic_paths,
-)
-from repro.analysis.dataflow.lattice import Taint, TaintEnv, UnitEnv
-from repro.analysis.dataflow.solver import FixpointDiverged, solve_forward
+from repro import lazy_exports
 
-__all__ = [
-    "CFG",
-    "BasicBlock",
-    "FixpointDiverged",
-    "FunctionUnit",
-    "Taint",
-    "TaintEnv",
-    "UnitEnv",
-    "build_cfg",
-    "functions_in",
-    "iter_acyclic_paths",
-    "solve_forward",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "cfg": [
+            "CFG",
+            "BasicBlock",
+            "FunctionUnit",
+            "build_cfg",
+            "functions_in",
+            "iter_acyclic_paths",
+        ],
+        "lattice": ["Taint", "TaintEnv", "UnitEnv"],
+        "solver": ["FixpointDiverged", "solve_forward"],
+    },
+)

@@ -67,7 +67,10 @@ from repro.analysis.astutil import (
     unordered_iterable as _unordered_iterable,
 )
 from repro.analysis.findings import Finding, LintError, RULES
-from repro.analysis.passes import check_c2, check_d2, check_p1, check_u2
+from repro.analysis.passes.c2 import check_c2
+from repro.analysis.passes.d2 import check_d2
+from repro.analysis.passes.p1 import check_p1
+from repro.analysis.passes.u2 import check_u2
 
 __all__ = [
     "Finding",

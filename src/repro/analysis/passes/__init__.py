@@ -5,9 +5,14 @@ same contract as the syntactic rules in ``repro.analysis.lint``; the
 front end registers them in its ``_CHECKS`` table.
 """
 
-from repro.analysis.passes.c2 import check_c2
-from repro.analysis.passes.d2 import check_d2
-from repro.analysis.passes.p1 import check_p1
-from repro.analysis.passes.u2 import check_u2
+from repro import lazy_exports
 
-__all__ = ["check_c2", "check_d2", "check_p1", "check_u2"]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "c2": ["check_c2"],
+        "d2": ["check_d2"],
+        "p1": ["check_p1"],
+        "u2": ["check_u2"],
+    },
+)

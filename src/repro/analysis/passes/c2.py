@@ -38,7 +38,7 @@ from collections import Counter
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.analysis.astutil import Context, dotted_name, in_scope
-from repro.analysis.dataflow import build_cfg, functions_in, iter_acyclic_paths
+from repro.analysis.dataflow.cfg import build_cfg, functions_in, iter_acyclic_paths
 from repro.analysis.findings import Finding
 
 __all__ = ["COIN_SCOPES", "check_c2"]

@@ -32,13 +32,9 @@ from repro.analysis.astutil import (
     in_scope,
     unordered_iterable,
 )
-from repro.analysis.dataflow import (
-    Taint,
-    TaintEnv,
-    build_cfg,
-    functions_in,
-    solve_forward,
-)
+from repro.analysis.dataflow.cfg import build_cfg, functions_in
+from repro.analysis.dataflow.lattice import Taint, TaintEnv
+from repro.analysis.dataflow.solver import solve_forward
 from repro.analysis.findings import Finding
 
 __all__ = ["check_d2"]

@@ -37,7 +37,7 @@ import ast
 from typing import Iterator, List, Optional, Set
 
 from repro.analysis.astutil import Context, dotted_name, in_scope
-from repro.analysis.dataflow import functions_in
+from repro.analysis.dataflow.cfg import functions_in
 from repro.analysis.findings import Finding
 
 __all__ = ["PARALLEL_SCOPES", "check_p1"]

@@ -29,7 +29,9 @@ import re
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.analysis.astutil import Context, dotted_name, in_scope
-from repro.analysis.dataflow import UnitEnv, build_cfg, functions_in, solve_forward
+from repro.analysis.dataflow.cfg import build_cfg, functions_in
+from repro.analysis.dataflow.lattice import UnitEnv
+from repro.analysis.dataflow.solver import solve_forward
 from repro.analysis.findings import Finding
 
 __all__ = ["UNIT_SCOPES", "check_u2", "unit_of_identifier"]

@@ -12,26 +12,18 @@ The static allocation of Fig. 19 runs on the SoC as
 :class:`repro.soc.pm.StaticPM`.
 """
 
-from repro.baselines.centralized import (
-    CentralizedPolicy,
-    CentralizedScheme,
-    ControllerTiming,
-)
-from repro.baselines.pricetheory import PriceTheoryModel
-from repro.baselines.tokensmart import (
-    TokenSmartConfig,
-    TokenSmartResult,
-    TokenSmartSim,
-    run_tokensmart_trial,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "CentralizedPolicy",
-    "CentralizedScheme",
-    "ControllerTiming",
-    "PriceTheoryModel",
-    "TokenSmartConfig",
-    "TokenSmartResult",
-    "TokenSmartSim",
-    "run_tokensmart_trial",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "centralized": ["CentralizedPolicy", "CentralizedScheme", "ControllerTiming"],
+        "pricetheory": ["PriceTheoryModel"],
+        "tokensmart": [
+            "TokenSmartConfig",
+            "TokenSmartResult",
+            "TokenSmartSim",
+            "run_tokensmart_trial",
+        ],
+    },
+)

@@ -16,29 +16,21 @@ is a transparent cache hit and an interrupted campaign resumes by
 executing only the missing units.  See ``docs/CAMPAIGNS.md``.
 """
 
-from repro.campaign.errors import CampaignError, SpecError, StoreError
-from repro.campaign.executor import CampaignRun, run_campaign
-from repro.campaign.spec import (
-    CampaignSpec,
-    CampaignUnit,
-    canonical_json,
-    decode_config,
-    encode_config,
-    load_campaign_spec,
-)
-from repro.campaign.store import CampaignStore
+from repro import lazy_exports
 
-__all__ = [
-    "CampaignError",
-    "CampaignRun",
-    "CampaignSpec",
-    "CampaignStore",
-    "CampaignUnit",
-    "SpecError",
-    "StoreError",
-    "canonical_json",
-    "decode_config",
-    "encode_config",
-    "load_campaign_spec",
-    "run_campaign",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "errors": ["CampaignError", "SpecError", "StoreError"],
+        "executor": ["CampaignRun", "run_campaign"],
+        "spec": [
+            "CampaignSpec",
+            "CampaignUnit",
+            "canonical_json",
+            "decode_config",
+            "encode_config",
+            "load_campaign_spec",
+        ],
+        "store": ["CampaignStore"],
+    },
+)

@@ -36,21 +36,18 @@ from pathlib import Path
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.analysis.__main__ import add_lint_arguments, run_lint
-from repro.campaign import (
-    CampaignError,
-    CampaignSpec,
-    CampaignStore,
-    load_campaign_spec,
-    run_campaign,
-)
+from repro.campaign.errors import CampaignError
+from repro.campaign.executor import run_campaign
 from repro.campaign.presets import get_preset
+from repro.campaign.spec import CampaignSpec, load_campaign_spec
+from repro.campaign.store import CampaignStore
 from repro.core.config import (
     plain_four_way,
     plain_one_way,
     preferred_embodiment,
 )
 from repro.core.runner import TrialResult, run_convergence_trial
-from repro.faults import (
+from repro.faults.plan import (
     FaultPlan,
     FaultPlanError,
     LinkFaultRates,
@@ -58,32 +55,27 @@ from repro.faults import (
     load_fault_plan,
 )
 from repro.fuzz.cli import add_fuzz_parser
-from repro.obs import (
-    Observation,
-    observing,
+from repro.obs.export import (
     summary_lines,
     write_chrome_trace,
     write_jsonl,
     write_summary,
+    write_trace,
 )
-from repro.obs.export import write_trace
+from repro.obs.runtime import observing
+from repro.obs.sink import Observation
 from repro.serve.cli import add_serve_parser
-from repro.soc import (
-    ExecutorError,
-    PMKind,
-    Soc,
-    SocRunResult,
-    WorkloadExecutor,
-    build_pm,
-)
+from repro.soc.executor import ExecutorError, SocRunResult, WorkloadExecutor
+from repro.soc.pm import PMKind, build_pm
 from repro.soc.presets import soc_3x3, soc_4x4, soc_6x6_chip
-from repro.workloads import (
+from repro.soc.soc import Soc
+from repro.workloads.apps import (
     autonomous_vehicle_dependent,
     autonomous_vehicle_parallel,
     computer_vision_dependent,
     computer_vision_parallel,
+    pm_cluster_workload,
 )
-from repro.workloads.apps import pm_cluster_workload
 
 SOCS: Dict[str, Callable] = {
     "3x3": soc_3x3,
@@ -572,7 +564,7 @@ def cmd_figure(args: argparse.Namespace) -> int:
 
 def _bench_selection(args: argparse.Namespace):
     """The benchmarks named by ``--bench`` or ``--suite``."""
-    from repro.perf import REGISTRY, PerfError, load_builtin_suites
+    from repro.perf.registry import REGISTRY, PerfError, load_builtin_suites
 
     load_builtin_suites()
     if getattr(args, "bench", None):
@@ -588,7 +580,7 @@ def _bench_selection(args: argparse.Namespace):
 
 def cmd_bench_list(args: argparse.Namespace) -> int:
     """List registered benchmarks, one line each."""
-    from repro.perf import REGISTRY, load_builtin_suites
+    from repro.perf.registry import REGISTRY, load_builtin_suites
 
     load_builtin_suites()
     names = REGISTRY.names()
@@ -613,11 +605,8 @@ def cmd_bench_list(args: argparse.Namespace) -> int:
 
 def cmd_bench_run(args: argparse.Namespace) -> int:
     """Run a suite and write its ``BENCH_<suite>.json`` artifact."""
-    from repro.perf import (
-        bench_artifact,
-        run_suite_benchmarks,
-        write_bench_artifact,
-    )
+    from repro.perf.artifact import bench_artifact, write_bench_artifact
+    from repro.perf.harness import run_suite_benchmarks
 
     benches = _bench_selection(args)
 
@@ -646,7 +635,7 @@ def cmd_bench_run(args: argparse.Namespace) -> int:
 
 def cmd_bench_compare(args: argparse.Namespace) -> int:
     """Diff two bench artifacts; rc 3 when the candidate regressed."""
-    from repro.perf import (
+    from repro.perf.artifact import (
         bench_thresholds,
         compare_bench_artifacts,
         flat_bench_metrics,
@@ -674,15 +663,13 @@ def cmd_bench_compare(args: argparse.Namespace) -> int:
 
 def cmd_bench_profile(args: argparse.Namespace) -> int:
     """Phase-profile one benchmark and print where the time went."""
-    from repro.perf import (
-        REGISTRY,
-        PerfError,
+    from repro.perf.harness import call_benchmark
+    from repro.perf.phase import (
         PhaseProfiler,
-        call_benchmark,
-        load_builtin_suites,
         phase_chrome_trace,
         phase_summary_lines,
     )
+    from repro.perf.registry import REGISTRY, PerfError, load_builtin_suites
 
     load_builtin_suites()
     profiler = PhaseProfiler()

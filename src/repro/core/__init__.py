@@ -17,45 +17,21 @@ Public surface:
   initial allocation, as used in Figs. 3, 4, 6, 7, 8.
 """
 
-from repro.core.analysis import (
-    ExchangeCase,
-    classify_exchange,
-    is_local_minimum,
-)
-from repro.core.coins import (
-    CoinStateError,
-    ExchangeResult,
-    TileCoins,
-    pairwise_exchange,
-)
-from repro.core.config import BlitzCoinConfig, ConfigError, ExchangeMode
-from repro.core.engine import CoinExchangeEngine, EngineError
-from repro.core.metrics import ErrorTracker, global_error, worst_tile_error
-from repro.core.runner import (
-    ScenarioSpec,
-    TrialResult,
-    heterogeneous_scenario,
-    run_convergence_trial,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "BlitzCoinConfig",
-    "CoinExchangeEngine",
-    "CoinStateError",
-    "ConfigError",
-    "EngineError",
-    "ErrorTracker",
-    "ExchangeCase",
-    "ExchangeMode",
-    "ExchangeResult",
-    "ScenarioSpec",
-    "TileCoins",
-    "TrialResult",
-    "classify_exchange",
-    "global_error",
-    "heterogeneous_scenario",
-    "is_local_minimum",
-    "pairwise_exchange",
-    "run_convergence_trial",
-    "worst_tile_error",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "analysis": ["ExchangeCase", "classify_exchange", "is_local_minimum"],
+        "coins": ["CoinStateError", "ExchangeResult", "TileCoins", "pairwise_exchange"],
+        "config": ["BlitzCoinConfig", "ConfigError", "ExchangeMode"],
+        "engine": ["CoinExchangeEngine", "EngineError"],
+        "metrics": ["ErrorTracker", "global_error", "worst_tile_error"],
+        "runner": [
+            "ScenarioSpec",
+            "TrialResult",
+            "heterogeneous_scenario",
+            "run_convergence_trial",
+        ],
+    },
+)

@@ -20,33 +20,23 @@ in 12 nm:
   simulator uses (settle delay + instantaneous power readout).
 """
 
-from repro.dvfs.actuator import ConventionalDualLoop, TileActuator
-from repro.dvfs.droop import (
-    ConventionalDroopResult,
-    DroopEvent,
-    DroopSimulator,
-    UvfrDroopResult,
-)
-from repro.dvfs.ldo import DigitalLdo, LdoError
-from repro.dvfs.lut import CoinLut
-from repro.dvfs.oscillator import RingOscillator
-from repro.dvfs.pid import PidController
-from repro.dvfs.tdc import CounterTdc
-from repro.dvfs.uvfr import UvfrLoop, UvfrSettleResult
+from repro import lazy_exports
 
-__all__ = [
-    "CoinLut",
-    "ConventionalDroopResult",
-    "ConventionalDualLoop",
-    "DroopEvent",
-    "DroopSimulator",
-    "UvfrDroopResult",
-    "CounterTdc",
-    "DigitalLdo",
-    "LdoError",
-    "PidController",
-    "RingOscillator",
-    "TileActuator",
-    "UvfrLoop",
-    "UvfrSettleResult",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "actuator": ["ConventionalDualLoop", "TileActuator"],
+        "droop": [
+            "ConventionalDroopResult",
+            "DroopEvent",
+            "DroopSimulator",
+            "UvfrDroopResult",
+        ],
+        "ldo": ["DigitalLdo", "LdoError"],
+        "lut": ["CoinLut"],
+        "oscillator": ["RingOscillator"],
+        "pid": ["PidController"],
+        "tdc": ["CounterTdc"],
+        "uvfr": ["UvfrLoop", "UvfrSettleResult"],
+    },
+)

@@ -42,7 +42,3 @@ class CoinLut:
         """Frequency target for a coin count (clamped, sign-tolerant)."""
         idx = min(max(coins, 0), self.n_entries - 1)
         return self._entries[idx]
-
-    def entries(self) -> Tuple[float, ...]:
-        """The raw LUT contents (for CSR-style inspection)."""
-        return self._entries

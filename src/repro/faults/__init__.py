@@ -22,25 +22,20 @@ or declaratively, through the config::
     result = run_convergence_trial(6, config, seed=0)
 """
 
-from repro.faults.injector import FaultInjector
-from repro.faults.plan import (
-    CoinLossEvent,
-    FaultPlan,
-    FaultPlanError,
-    LinkFaultRates,
-    TileFaultEvent,
-    load_fault_plan,
-)
-from repro.faults.runtime import injecting, maybe_injecting
+from repro import lazy_exports
 
-__all__ = [
-    "CoinLossEvent",
-    "FaultInjector",
-    "FaultPlan",
-    "FaultPlanError",
-    "LinkFaultRates",
-    "TileFaultEvent",
-    "injecting",
-    "load_fault_plan",
-    "maybe_injecting",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "injector": ["FaultInjector"],
+        "plan": [
+            "CoinLossEvent",
+            "FaultPlan",
+            "FaultPlanError",
+            "LinkFaultRates",
+            "TileFaultEvent",
+            "load_fault_plan",
+        ],
+        "runtime": ["injecting", "maybe_injecting"],
+    },
+)

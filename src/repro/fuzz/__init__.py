@@ -13,44 +13,23 @@ See docs/FUZZING.md for the oracle table, corpus layout, shrink
 semantics, and the replay contract.
 """
 
-from repro.fuzz.campaign import CampaignSummary, fuzz_campaign, replay_corpus
-from repro.fuzz.corpus import Corpus, ReproBundle, load_bundle
-from repro.fuzz.coverage import coverage_tokens, log2_bucket
-from repro.fuzz.generate import generate_scenario
-from repro.fuzz.oracles import (
-    Failure,
-    FuzzOutcome,
-    execute_scenario,
-    run_oracles,
-)
-from repro.fuzz.scenario import (
-    EngineSection,
-    FuzzError,
-    Scenario,
-    ScenarioEvent,
-    SocSection,
-)
-from repro.fuzz.shrink import ShrinkResult, shrink_scenario
+from repro import lazy_exports
 
-__all__ = [
-    "CampaignSummary",
-    "Corpus",
-    "EngineSection",
-    "Failure",
-    "FuzzError",
-    "FuzzOutcome",
-    "ReproBundle",
-    "Scenario",
-    "ScenarioEvent",
-    "ShrinkResult",
-    "SocSection",
-    "coverage_tokens",
-    "execute_scenario",
-    "fuzz_campaign",
-    "generate_scenario",
-    "load_bundle",
-    "log2_bucket",
-    "replay_corpus",
-    "run_oracles",
-    "shrink_scenario",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "campaign": ["CampaignSummary", "fuzz_campaign", "replay_corpus"],
+        "corpus": ["Corpus", "ReproBundle", "load_bundle"],
+        "coverage": ["coverage_tokens", "log2_bucket"],
+        "generate": ["generate_scenario"],
+        "oracles": ["Failure", "FuzzOutcome", "execute_scenario", "run_oracles"],
+        "scenario": [
+            "EngineSection",
+            "FuzzError",
+            "Scenario",
+            "ScenarioEvent",
+            "SocSection",
+        ],
+        "shrink": ["ShrinkResult", "shrink_scenario"],
+    },
+)

@@ -10,21 +10,15 @@ Two fidelities share a single interface (:class:`NocFabric`):
   own Python emulator.
 """
 
-from repro.noc.behavioral import BehavioralNoc
-from repro.noc.fabric import DeliveryHandler, NocFabric
-from repro.noc.packet import MessageType, Packet, Plane
-from repro.noc.router import CycleNoc, Router
-from repro.noc.topology import MeshTopology, TopologyError
+from repro import lazy_exports
 
-__all__ = [
-    "BehavioralNoc",
-    "CycleNoc",
-    "DeliveryHandler",
-    "MeshTopology",
-    "MessageType",
-    "NocFabric",
-    "Packet",
-    "Plane",
-    "Router",
-    "TopologyError",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "behavioral": ["BehavioralNoc"],
+        "fabric": ["DeliveryHandler", "NocFabric"],
+        "packet": ["MessageType", "Packet", "Plane"],
+        "router": ["CycleNoc", "Router"],
+        "topology": ["MeshTopology", "TopologyError"],
+    },
+)

@@ -19,74 +19,36 @@ Quick start::
     write_chrome_trace(session, "trace.json")  # open in ui.perfetto.dev
 """
 
-from repro.obs.export import (
-    chrome_trace,
-    jsonl_records,
-    summary_lines,
-    validate_chrome_trace,
-    write_chrome_trace,
-    write_jsonl,
-    write_summary,
-)
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsError,
-    MetricsRegistry,
-)
-from repro.obs.monitor import (
-    Alert,
-    BudgetOvershootMonitor,
-    ConvergenceStallMonitor,
-    CounterTap,
-    Monitor,
-    MonitorSet,
-    OscillationMonitor,
-    ReconcileBacklogMonitor,
-    StarvationMonitor,
-    default_monitors,
-)
-from repro.obs.profile import KernelProfile, callback_site
-from repro.obs.runtime import current, enabled, install, observing, uninstall
-from repro.obs.sink import ObsError, ObsSink, Observation
-from repro.obs.spans import InstantEvent, Sample, Span, TraceBuffer
+from repro import lazy_exports
 
-__all__ = [
-    "Alert",
-    "BudgetOvershootMonitor",
-    "ConvergenceStallMonitor",
-    "Counter",
-    "CounterTap",
-    "Gauge",
-    "Histogram",
-    "InstantEvent",
-    "KernelProfile",
-    "MetricsError",
-    "MetricsRegistry",
-    "Monitor",
-    "MonitorSet",
-    "OscillationMonitor",
-    "ReconcileBacklogMonitor",
-    "StarvationMonitor",
-    "ObsError",
-    "ObsSink",
-    "Observation",
-    "Sample",
-    "Span",
-    "TraceBuffer",
-    "callback_site",
-    "chrome_trace",
-    "current",
-    "default_monitors",
-    "enabled",
-    "install",
-    "jsonl_records",
-    "observing",
-    "summary_lines",
-    "uninstall",
-    "validate_chrome_trace",
-    "write_chrome_trace",
-    "write_jsonl",
-    "write_summary",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "export": [
+            "chrome_trace",
+            "jsonl_records",
+            "summary_lines",
+            "validate_chrome_trace",
+            "write_chrome_trace",
+            "write_jsonl",
+            "write_summary",
+        ],
+        "metrics": ["Counter", "Gauge", "Histogram", "MetricsError", "MetricsRegistry"],
+        "monitor": [
+            "Alert",
+            "BudgetOvershootMonitor",
+            "ConvergenceStallMonitor",
+            "CounterTap",
+            "Monitor",
+            "MonitorSet",
+            "OscillationMonitor",
+            "ReconcileBacklogMonitor",
+            "StarvationMonitor",
+            "default_monitors",
+        ],
+        "profile": ["KernelProfile", "callback_site"],
+        "runtime": ["current", "enabled", "install", "observing", "uninstall"],
+        "sink": ["ObsError", "ObsSink", "Observation"],
+        "spans": ["InstantEvent", "Sample", "Span", "TraceBuffer"],
+    },
+)

@@ -138,8 +138,9 @@ def _fig03_quick(dims, trials, base_seed):
     "expansion, unit execution, result persistence.",
 )
 def _campaign_serial(d_values, trials, base_seed):
-    from repro.campaign import CampaignSpec, CampaignStore, run_campaign
-    from repro.campaign.spec import encode_config
+    from repro.campaign.executor import run_campaign
+    from repro.campaign.spec import CampaignSpec, encode_config
+    from repro.campaign.store import CampaignStore
     from repro.core.config import plain_one_way
 
     spec = CampaignSpec(
@@ -240,7 +241,7 @@ def _obs_overhead_off(d, trials, base_seed, threshold):
 def _obs_overhead_on(d, trials, base_seed, threshold):
     from repro.core.config import preferred_embodiment
     from repro.core.runner import run_trials
-    from repro.obs import observing
+    from repro.obs.runtime import observing
 
     with observing():
         results = run_trials(

@@ -20,62 +20,40 @@ reproduces that workflow:
   self-contained HTML file (inline CSS/SVG, no external references).
 """
 
-from repro.report.campaign_export import campaign_rows, export_campaign_csv
-from repro.report.csv_export import (
-    CsvExportError,
-    export_figure,
-    export_rows,
-    export_soc_run,
-)
-from repro.report.dashboard import render_dashboard, write_dashboard
-from repro.report.diff import (
-    DEFAULT_THRESHOLDS,
-    DiffError,
-    DiffRow,
-    ReportDiff,
-    ThresholdRule,
-    Thresholds,
-    diff_reports,
-    format_diff_table,
-    load_thresholds,
-)
-from repro.report.post_process import reconstruct_power_trace
-from repro.report.run_report import (
-    REPORT_SCHEMA,
-    ReportError,
-    RunReport,
-    campaign_report,
-    convergence_report,
-    load_run_report,
-    soc_report,
-    write_run_report,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "DEFAULT_THRESHOLDS",
-    "REPORT_SCHEMA",
-    "CsvExportError",
-    "DiffError",
-    "DiffRow",
-    "ReportDiff",
-    "ReportError",
-    "RunReport",
-    "ThresholdRule",
-    "Thresholds",
-    "campaign_report",
-    "campaign_rows",
-    "convergence_report",
-    "diff_reports",
-    "export_campaign_csv",
-    "export_figure",
-    "export_rows",
-    "export_soc_run",
-    "format_diff_table",
-    "load_run_report",
-    "load_thresholds",
-    "reconstruct_power_trace",
-    "render_dashboard",
-    "soc_report",
-    "write_dashboard",
-    "write_run_report",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "campaign_export": ["campaign_rows", "export_campaign_csv"],
+        "csv_export": [
+            "CsvExportError",
+            "export_figure",
+            "export_rows",
+            "export_soc_run",
+        ],
+        "dashboard": ["render_dashboard", "write_dashboard"],
+        "diff": [
+            "DEFAULT_THRESHOLDS",
+            "DiffError",
+            "DiffRow",
+            "ReportDiff",
+            "ThresholdRule",
+            "Thresholds",
+            "diff_reports",
+            "format_diff_table",
+            "load_thresholds",
+        ],
+        "post_process": ["reconstruct_power_trace"],
+        "run_report": [
+            "REPORT_SCHEMA",
+            "ReportError",
+            "RunReport",
+            "campaign_report",
+            "convergence_report",
+            "load_run_report",
+            "soc_report",
+            "write_run_report",
+        ],
+    },
+)

@@ -21,13 +21,12 @@ fleet dashboard at ``GET /dashboard``.
 See docs/SERVICE.md for the API and the dedupe/caching contract.
 """
 
-from repro.serve.protocol import ServeError, Submission, parse_submission
-from repro.serve.telemetry import ServiceTelemetry, render_prometheus
+from repro import lazy_exports
 
-__all__ = [
-    "ServeError",
-    "ServiceTelemetry",
-    "Submission",
-    "parse_submission",
-    "render_prometheus",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "protocol": ["ServeError", "Submission", "parse_submission"],
+        "telemetry": ["ServiceTelemetry", "render_prometheus"],
+    },
+)

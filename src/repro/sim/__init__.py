@@ -6,9 +6,7 @@ mesh NoC, the coin-exchange engine, the DVFS actuators, the SoC workload
 executor — schedule callbacks on a single :class:`Simulator` instance.
 """
 
-from repro.sim.kernel import Event, SimulationError, Simulator
-from repro.sim.rng import SeedSequenceError, spawn_rng
-from repro.sim.trace import StateTrace, TraceRecorder
+from repro import lazy_exports
 
 NOC_FREQUENCY_HZ = 800e6
 """NoC clock frequency of the fabricated SoC (Section V-A of the paper)."""
@@ -27,16 +25,12 @@ def us_to_cycles(us: float) -> int:
     return int(round(us * 1e-6 * NOC_FREQUENCY_HZ))
 
 
-__all__ = [
-    "CYCLE_TIME_S",
-    "Event",
-    "NOC_FREQUENCY_HZ",
-    "SeedSequenceError",
-    "SimulationError",
-    "Simulator",
-    "StateTrace",
-    "TraceRecorder",
-    "cycles_to_us",
-    "spawn_rng",
-    "us_to_cycles",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "kernel": ["Event", "SimulationError", "Simulator"],
+        "rng": ["SeedSequenceError", "spawn_rng"],
+        "trace": ["StateTrace", "TraceRecorder"],
+    },
+)
+__all__ += ["CYCLE_TIME_S", "NOC_FREQUENCY_HZ", "cycles_to_us", "us_to_cycles"]

@@ -7,33 +7,15 @@ and records per-tile power traces — everything the SoC-level
 evaluations (Figs. 16-20) need.
 """
 
-from repro.soc.executor import ExecutorError, SocRunResult, WorkloadExecutor
-from repro.soc.pm import (
-    BlitzCoinPM,
-    CentralizedPM,
-    PMKind,
-    StaticPM,
-    build_pm,
-)
-from repro.soc.presets import soc_3x3, soc_4x4, soc_6x6_chip
-from repro.soc.soc import Soc, SocError
-from repro.soc.tile import SocConfig, TileKind, TileSpec
+from repro import lazy_exports
 
-__all__ = [
-    "BlitzCoinPM",
-    "CentralizedPM",
-    "ExecutorError",
-    "PMKind",
-    "Soc",
-    "SocConfig",
-    "SocError",
-    "SocRunResult",
-    "StaticPM",
-    "TileKind",
-    "TileSpec",
-    "WorkloadExecutor",
-    "build_pm",
-    "soc_3x3",
-    "soc_4x4",
-    "soc_6x6_chip",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "executor": ["ExecutorError", "SocRunResult", "WorkloadExecutor"],
+        "pm": ["BlitzCoinPM", "CentralizedPM", "PMKind", "StaticPM", "build_pm"],
+        "presets": ["soc_3x3", "soc_4x4", "soc_6x6_chip"],
+        "soc": ["Soc", "SocError"],
+        "tile": ["SocConfig", "TileKind", "TileSpec"],
+    },
+)

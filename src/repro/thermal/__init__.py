@@ -8,18 +8,17 @@ temperatures from the recorded (or live) power, and a governor writes
 BlitzCoin's runtime thermal caps when a tile crosses its limit.
 """
 
-from repro.thermal.governor import ThermalGovernor
-from repro.thermal.model import (
-    ThermalConfig,
-    ThermalError,
-    ThermalGrid,
-    simulate_run_thermals,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "ThermalConfig",
-    "ThermalError",
-    "ThermalGovernor",
-    "ThermalGrid",
-    "simulate_run_thermals",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "governor": ["ThermalGovernor"],
+        "model": [
+            "ThermalConfig",
+            "ThermalError",
+            "ThermalGrid",
+            "simulate_run_thermals",
+        ],
+    },
+)

@@ -8,55 +8,28 @@
 * :mod:`~repro.workloads.synthetic` — random phase/DAG generators for
   the scalability studies.
 * :mod:`~repro.workloads.production` — production-shaped load: diurnal
-  multi-tenant arrival traces, bursty phases, load-correlated faults.
+  multi-tenant arrival traces.
 """
 
-from repro.workloads.apps import (
-    autonomous_vehicle_dependent,
-    autonomous_vehicle_parallel,
-    computer_vision_dependent,
-    computer_vision_parallel,
-)
-from repro.workloads.dag import DagError, Task, TaskGraph
-from repro.workloads.scenarios import (
-    build_parallel,
-    chain,
-    diamond,
-    pipeline_frames,
-)
-from repro.workloads.production import (
-    Arrival,
-    ArrivalTrace,
-    ProductionError,
-    bursty_phase_trace,
-    correlated_fault_plan,
-    diurnal_arrival_trace,
-)
-from repro.workloads.synthetic import (
-    PhaseTrace,
-    random_layered_dag,
-    random_phase_trace,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "Arrival",
-    "ArrivalTrace",
-    "DagError",
-    "PhaseTrace",
-    "Task",
-    "TaskGraph",
-    "autonomous_vehicle_dependent",
-    "autonomous_vehicle_parallel",
-    "build_parallel",
-    "chain",
-    "computer_vision_dependent",
-    "computer_vision_parallel",
-    "diamond",
-    "pipeline_frames",
-    "ProductionError",
-    "bursty_phase_trace",
-    "correlated_fault_plan",
-    "diurnal_arrival_trace",
-    "random_layered_dag",
-    "random_phase_trace",
-]
+__all__, __getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "apps": [
+            "autonomous_vehicle_dependent",
+            "autonomous_vehicle_parallel",
+            "computer_vision_dependent",
+            "computer_vision_parallel",
+        ],
+        "dag": ["DagError", "Task", "TaskGraph"],
+        "scenarios": ["build_parallel", "chain", "diamond", "pipeline_frames"],
+        "production": [
+            "Arrival",
+            "ArrivalTrace",
+            "ProductionError",
+            "diurnal_arrival_trace",
+        ],
+        "synthetic": ["PhaseTrace", "random_layered_dag", "random_phase_trace"],
+    },
+)

@@ -3,18 +3,13 @@
 The paper evaluates BlitzCoin on hand-written workloads (WL-Par /
 WL-Dep, Fig. 14) whose activity statistics are stationary.  Deployed
 accelerator-rich SoCs see none of that: inference-serving traffic is
-*diurnal* (a daily sinusoid with a deep trough), *multi-tenant* (many
-independent request streams sharing one die), *bursty* (long silences
-punctuated by dense flapping), and its faults are *correlated* with
-load (thermal kills and register upsets cluster at traffic peaks, not
-uniformly at random).
+*diurnal* (a daily sinusoid with a deep trough) and *multi-tenant*
+(many independent request streams sharing one die).
 
-This module synthesizes exactly those shapes as plain data — an
-:class:`ArrivalTrace` of timestamped requests, a bursty
-:class:`~repro.workloads.synthetic.PhaseTrace`, and a load-correlated
-:class:`~repro.faults.plan.FaultPlan` — so the scenario fuzzer
-(:mod:`repro.fuzz`) and the experiment drivers can replay
-production-shaped days against the protocol.  Everything is seeded
+This module synthesizes that shape as plain data — an
+:class:`ArrivalTrace` of timestamped requests — so the scenario fuzzer
+(:mod:`repro.fuzz`) can replay production-shaped days against the
+protocol.  Everything is seeded
 through :func:`repro.sim.rng.rng_for` (blitzlint rule D2) and fully
 deterministic: the same arguments always produce byte-identical traces.
 """
@@ -25,17 +20,13 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.faults.plan import CoinLossEvent, FaultPlan, TileFaultEvent
 from repro.sim.rng import rng_for
 from repro.workloads.dag import Task, TaskGraph
-from repro.workloads.synthetic import PhaseTrace
 
 __all__ = [
     "Arrival",
     "ArrivalTrace",
     "ProductionError",
-    "bursty_phase_trace",
-    "correlated_fault_plan",
     "diurnal_arrival_trace",
 ]
 
@@ -231,142 +222,3 @@ def diurnal_arrival_trace(
         n_tenants=n_tenants,
     )
 
-
-# --------------------------------------------------------------- bursty load
-def bursty_phase_trace(
-    n_tiles: int,
-    horizon_cycles: int,
-    *,
-    seed: int,
-    burst_cycles: float = 30_000.0,
-    gap_cycles: float = 200_000.0,
-    flap_cycles: float = 4_000.0,
-) -> PhaseTrace:
-    """Long silences punctuated by dense activity flapping.
-
-    Each tile alternates exponential idle gaps (mean ``gap_cycles``)
-    with bursts (mean ``burst_cycles``) during which it flaps
-    active/idle every ~``flap_cycles`` — the checkpoint-and-spill
-    pattern of batched accelerator serving.  This is the worst case for
-    the paper's T_w/N scaling argument: the *mean* activity-change rate
-    is modest but the *instantaneous* rate inside a burst is an order
-    of magnitude higher, which is what stresses exchange back-off.
-    """
-    if n_tiles < 1:
-        raise ProductionError(f"n_tiles must be >= 1, got {n_tiles}")
-    if horizon_cycles <= 0:
-        raise ProductionError(f"horizon must be positive, got {horizon_cycles}")
-    for label, value in (
-        ("burst_cycles", burst_cycles),
-        ("gap_cycles", gap_cycles),
-        ("flap_cycles", flap_cycles),
-    ):
-        if value <= 0:
-            raise ProductionError(f"{label} must be positive, got {value}")
-    rng = rng_for(seed, n_tiles, 13)
-    events: List[Tuple[int, int, bool]] = []
-    for tile in range(n_tiles):
-        t = float(rng.exponential(gap_cycles))  # start mid-gap
-        while t < horizon_cycles:
-            burst_end = t + float(rng.exponential(burst_cycles))
-            active = True
-            while t < min(burst_end, horizon_cycles):
-                events.append((int(t), tile, active))
-                t += float(rng.exponential(flap_cycles)) + 1.0
-                active = not active
-            if active is False:
-                # Close the dangling active phase at the burst edge.
-                if t < horizon_cycles:
-                    events.append((int(t), tile, False))
-            t = max(t, burst_end) + float(rng.exponential(gap_cycles)) + 1.0
-    events.sort()
-    return PhaseTrace(
-        events=tuple(events),
-        horizon_cycles=horizon_cycles,
-        n_tiles=n_tiles,
-    )
-
-
-# ---------------------------------------------------------- correlated faults
-def correlated_fault_plan(
-    trace: ArrivalTrace,
-    n_tiles: int,
-    *,
-    seed: int,
-    kill_fraction: float = 0.3,
-    outage_cycles: int = 40_000,
-    coin_loss_fraction: float = 0.3,
-    max_coins_lost: int = 8,
-    n_windows: int = 8,
-) -> FaultPlan:
-    """Faults that cluster at the load peaks of an arrival trace.
-
-    Real fleets lose tiles when they are hot: kill/revive pairs and
-    coin-loss upsets are placed preferentially in the busiest
-    ``n_windows``-slice windows of ``trace`` (probability proportional
-    to the window's share of total load).  ``kill_fraction`` and
-    ``coin_loss_fraction`` set the expected number of faulted windows
-    of each kind.  A null trace yields a null plan.
-    """
-    if n_tiles < 1:
-        raise ProductionError(f"n_tiles must be >= 1, got {n_tiles}")
-    if not (0.0 <= kill_fraction <= 1.0):
-        raise ProductionError(
-            f"kill_fraction must be in [0, 1], got {kill_fraction}"
-        )
-    if not (0.0 <= coin_loss_fraction <= 1.0):
-        raise ProductionError(
-            f"coin_loss_fraction must be in [0, 1], got {coin_loss_fraction}"
-        )
-    if outage_cycles < 1:
-        raise ProductionError(
-            f"outage_cycles must be >= 1, got {outage_cycles}"
-        )
-    if max_coins_lost < 1:
-        raise ProductionError(
-            f"max_coins_lost must be >= 1, got {max_coins_lost}"
-        )
-    rng = rng_for(seed, n_tiles, 17)
-    counts = trace.window_counts(n_windows)
-    total = sum(counts)
-    window_span = trace.horizon_cycles // n_windows
-    tile_events: List[TileFaultEvent] = []
-    coin_events: List[CoinLossEvent] = []
-    if total > 0 and window_span > 0:
-        peak = max(counts)
-        for w, count in enumerate(counts):
-            if count == 0:
-                continue
-            # Busier windows are proportionally likelier to fault.
-            weight = count / peak
-            start = w * window_span
-            when = start + int(rng.integers(0, window_span))
-            if float(rng.uniform(0.0, 1.0)) < kill_fraction * weight:
-                victim = int(rng.integers(0, n_tiles))
-                tile_events.append(
-                    TileFaultEvent(cycle=when, tile=victim, action="kill")
-                )
-                tile_events.append(
-                    TileFaultEvent(
-                        cycle=when + outage_cycles,
-                        tile=victim,
-                        action="revive",
-                    )
-                )
-            if float(rng.uniform(0.0, 1.0)) < coin_loss_fraction * weight:
-                coin_events.append(
-                    CoinLossEvent(
-                        cycle=when,
-                        tile=int(rng.integers(0, n_tiles)),
-                        coins=int(rng.integers(1, max_coins_lost + 1)),
-                    )
-                )
-    return FaultPlan(
-        seed=seed,
-        tile_events=tuple(
-            sorted(tile_events, key=lambda e: (e.cycle, e.tile, e.action))
-        ),
-        coin_loss_events=tuple(
-            sorted(coin_events, key=lambda e: (e.cycle, e.tile, e.coins))
-        ),
-    )

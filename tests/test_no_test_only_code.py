@@ -4,7 +4,10 @@ The scan parses every module under ``src/`` and lists its functions,
 classes and methods.  A definition counts as used when its name appears
 anywhere else in ``src/`` as a ``Name``, an ``Attribute``, an import
 alias or an identifier-shaped string literal.  Its own body does not
-count, nor do package ``__init__`` re-exports or ``__all__`` lists.
+count, nor do package ``__init__`` re-exports or the statements that
+bind ``__all__``: a literal list, or the lazy-export table a package
+unpacks into ``__all__, __getattr__, __dir__``, whose name strings are
+not uses.
 Any word match in ``benchmarks/``, ``blitzbench/``, ``examples/``,
 ``scripts/`` or ``.github/`` also keeps a definition.
 
@@ -72,12 +75,6 @@ ALLOWLIST: Dict[str, str] = {
     "repro.workloads.production:ArrivalTrace.peak_to_mean": (
         "probe: test_deep_trough_is_diurnal reads the diurnal swing"
     ),
-    "repro.workloads.production:bursty_phase_trace": (
-        "production-load generator; ROADMAP item 8: a caller or deletion"
-    ),
-    "repro.workloads.production:correlated_fault_plan": (
-        "production-load generator; ROADMAP item 8: a caller or deletion"
-    ),
     "repro.workloads.scenarios:class_census": (
         "probe: tests count the classes of built workloads"
     ),
@@ -90,13 +87,21 @@ Definition = Union[ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef]
 def _references(tree: ast.Module, *, reexports: bool) -> Dict[str, List[int]]:
     """name -> line numbers of its uses in one module.
 
-    ``__all__`` lists never count; ``from`` imports count unless
-    ``reexports`` marks the module as a package ``__init__``.
+    A statement binding ``__all__`` never counts; ``from`` imports count
+    unless ``reexports`` marks the module as a package ``__init__``.
     """
     skip: Set[int] = set()
     for node in ast.walk(tree):
-        exported = isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AugAssign):
+            targets = [node.target]
+        else:
+            targets = []
+        exported = any(
+            isinstance(t, ast.Name) and t.id == "__all__"
+            for target in targets
+            for t in ast.walk(target)
         )
         if exported or (reexports and isinstance(node, ast.ImportFrom)):
             skip.update(id(sub) for sub in ast.walk(node))

@@ -233,5 +233,7 @@ class TestFrequencyForPowerMemo:
         coin_value = curve.p_max_mw / 40
         cold = CoinLut(curve, coin_value)
         warm = CoinLut(curve, coin_value)
-        assert warm.entries() == cold.entries()
-        assert cold.entries()[-1] == curve.spec.f_max_hz
+        coins = range(cold.n_entries)
+        table = [cold.frequency_for(c) for c in coins]
+        assert [warm.frequency_for(c) for c in coins] == table
+        assert table[-1] == curve.spec.f_max_hz

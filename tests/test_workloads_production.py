@@ -1,11 +1,9 @@
-"""Production-shaped workload synthesis: diurnal multi-tenant arrivals,
-bursty phase traces, and load-correlated fault plans.
+"""Production-shaped workload synthesis: diurnal multi-tenant arrivals.
 
-Every generator here is a pure function of its arguments — the fuzzer
-replays these traces, so determinism (same args, byte-identical trace)
-is itself a tested contract, alongside the statistical shapes the
-module exists to produce (diurnality, burstiness, peak-clustered
-faults).
+The generator is a pure function of its arguments — the fuzzer
+replays its traces, so determinism (same args, byte-identical trace)
+is itself a tested contract, alongside the statistical shape the
+module exists to produce (diurnality).
 """
 
 import pytest
@@ -14,8 +12,6 @@ from repro.workloads.production import (
     Arrival,
     ArrivalTrace,
     ProductionError,
-    bursty_phase_trace,
-    correlated_fault_plan,
     diurnal_arrival_trace,
 )
 
@@ -160,104 +156,3 @@ class TestDiurnalArrivalTrace:
         horizon = base.pop("horizon_cycles")
         with pytest.raises(ProductionError, match=match):
             diurnal_arrival_trace(n_tenants, horizon, **base)
-
-
-class TestBurstyPhaseTrace:
-    def test_deterministic_and_valid(self):
-        a = bursty_phase_trace(6, 400_000, seed=2)
-        b = bursty_phase_trace(6, 400_000, seed=2)
-        assert a == b
-        assert a.n_tiles == 6
-        for when, tile, active in a.events:
-            assert 0 <= when < 400_000
-            assert 0 <= tile < 6
-            assert isinstance(active, bool)
-
-    def test_events_are_sorted(self):
-        trace = bursty_phase_trace(4, 600_000, seed=9)
-        assert list(trace.events) == sorted(trace.events)
-
-    def test_bursts_are_denser_than_the_mean(self):
-        """Activity flapping clusters: per-tile inter-event gaps are
-        heavy-tailed (median flap-sized, mean dominated by the long
-        silences) — the shape that stresses exchange back-off."""
-        trace = bursty_phase_trace(
-            8, 2_000_000, seed=4,
-            burst_cycles=30_000.0, gap_cycles=400_000.0,
-            flap_cycles=2_000.0,
-        )
-        gaps = []
-        last = {}
-        for when, tile, _active in trace.events:
-            if tile in last:
-                gaps.append(when - last[tile])
-            last[tile] = when
-        assert len(gaps) > 20
-        gaps.sort()
-        median = gaps[len(gaps) // 2]
-        mean = sum(gaps) / len(gaps)
-        assert mean > 4 * median
-
-    def test_bad_parameters_rejected(self):
-        with pytest.raises(ProductionError, match="n_tiles"):
-            bursty_phase_trace(0, 1_000, seed=0)
-        with pytest.raises(ProductionError, match="gap_cycles"):
-            bursty_phase_trace(1, 1_000, seed=0, gap_cycles=0.0)
-
-
-class TestCorrelatedFaultPlan:
-    def busy_trace(self):
-        # all load in the first eighth of the horizon
-        return trace_of(
-            [req(c, tenant=0) for c in range(0, 12_000, 400)],
-            horizon=96_000, n_tenants=1,
-        )
-
-    def test_deterministic(self):
-        t = self.busy_trace()
-        a = correlated_fault_plan(t, 9, seed=3)
-        assert a == correlated_fault_plan(t, 9, seed=3)
-
-    def test_null_trace_yields_null_plan(self):
-        plan = correlated_fault_plan(
-            trace_of([], horizon=50_000), 9, seed=3
-        )
-        assert plan.is_null
-
-    def test_kills_are_paired_with_revives(self):
-        plan = correlated_fault_plan(
-            self.busy_trace(), 9, seed=1,
-            kill_fraction=1.0, outage_cycles=5_000,
-        )
-        kills = [e for e in plan.tile_events if e.action == "kill"]
-        revives = [e for e in plan.tile_events if e.action == "revive"]
-        assert kills, "fraction 1.0 over a busy window must kill"
-        assert len(kills) == len(revives)
-        for k in kills:
-            assert any(
-                r.tile == k.tile and r.cycle == k.cycle + 5_000
-                for r in revives
-            )
-
-    def test_faults_cluster_at_the_peak(self):
-        """With load confined to the first window, every fault lands
-        there — correlation, not uniform scatter."""
-        plan = correlated_fault_plan(
-            self.busy_trace(), 9, seed=2,
-            kill_fraction=1.0, coin_loss_fraction=1.0, n_windows=8,
-        )
-        window_span = 96_000 // 8
-        originating = [
-            e.cycle for e in plan.tile_events if e.action == "kill"
-        ] + [e.cycle for e in plan.coin_loss_events]
-        assert originating
-        assert all(c < window_span for c in originating)
-
-    def test_bad_parameters_rejected(self):
-        t = self.busy_trace()
-        with pytest.raises(ProductionError, match="kill_fraction"):
-            correlated_fault_plan(t, 9, seed=0, kill_fraction=1.5)
-        with pytest.raises(ProductionError, match="outage_cycles"):
-            correlated_fault_plan(t, 9, seed=0, outage_cycles=0)
-        with pytest.raises(ProductionError, match="n_tiles"):
-            correlated_fault_plan(t, 0, seed=0)
