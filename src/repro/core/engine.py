@@ -94,10 +94,15 @@ class _TileFsm:
     lock_uid: int = -1
     zero_streak: int = 0
     jitter_state: int = 1
-    timeout_event: Optional[Event] = None
     next_event: Optional[Event] = None
-    #: 4-way participant: the watchdog that releases a lock whose
-    #: center never answers; cancelled when the lock is released.
+    #: The exchange watchdog: one timer for the tile's life, re-armed
+    #: at each initiation and disarmed when the exchange ends.
+    timeout_event: Optional[Event] = None
+    #: The exchange uid the armed exchange watchdog guards.
+    timeout_uid: int = -1
+    #: 4-way participant: the lock watchdog, a timer that releases a
+    #: lock whose center never answers; re-armed at each grant and
+    #: disarmed when the lock is released.
     lock_event: Optional[Event] = None
     #: Fault state: a dead tile lost its registers (coins confiscated
     #: and reconciled); a hung tile keeps them but stops responding.
@@ -177,23 +182,23 @@ class CoinExchangeEngine:
         #: Runtime thermal-cap overrides (written via the CSR interface);
         #: takes precedence over the static config caps.
         self.cap_overrides: Dict[int, int] = {}
+        #: Every capped tile's cap: the static config caps merged with
+        #: ``cap_overrides``, refreshed by :meth:`set_thermal_cap`.
+        self._caps: Dict[int, int] = dict(config.thermal_caps or {})
         self.tracker = ErrorTracker(
             initial_has, max_by_tile, self.pool, config.convergence_threshold
         )
-        #: The mode, its compute latency and whether the config sets a
-        #: cap source are fixed for the engine's life: resolved once.
+        #: The mode and its compute latency are fixed for the engine's
+        #: life: resolved once.
         #: A delivered COIN_STATUS goes straight to the mode's handler.
         self._one_way = config.mode is ExchangeMode.ONE_WAY
         self._status_handler: Callable[[Packet], None] = (
             self._serve_one_way if self._one_way else self._collect_four_way
         )
         self._compute_cycles = config.compute_cycles
-        #: False when the config sets no cap source; exchanges then pass
-        #: no caps unless a runtime override is set (``cap_overrides``).
-        self._config_caps = (
-            config.thermal_caps is not None
-            or config.hotspot_neighborhood_cap is not None
-        )
+        #: Caps that depend on the neighbors' holdings are computed per
+        #: exchange (``_effective_cap``), the others looked up in ``_caps``.
+        self._hotspot = config.hotspot_neighborhood_cap is not None
         self.fsm: Dict[int, _TileFsm] = {}
         # Random-pairing candidates: every managed tile except the tile
         # itself and its torus neighbours (the shift register of Section
@@ -389,24 +394,28 @@ class CoinExchangeEngine:
         timeout = self.config.exchange_timeout_cycles
         if timeout is None:
             return
-        uid_at_arm = self._uid + 1  # the uid the initiation will take
+        fsm.timeout_uid = self._uid + 1  # the uid the initiation will take
+        if fsm.timeout_event is None:
+            fsm.timeout_event = self.sim.schedule(
+                timeout, lambda: self._expire(fsm)
+            )
+        else:
+            self.sim.rearm(fsm.timeout_event, timeout)
 
-        def expire() -> None:
-            if fsm.busy and fsm.pending_uid == uid_at_arm:
-                self.exchanges_timed_out += 1
-                if _obs.sink is not None:
-                    _obs.sink.inc("engine.timeouts", self.sim.now)
-                    _obs.sink.end_span(
-                        f"xchg:{uid_at_arm}",
-                        self.sim.now,
-                        args={"outcome": "timeout"},
-                    )
-                fsm.pending_uid = -1
-                self._finish_exchange(
-                    fsm.tid, moved=False, nacked=True, timed_out=True
+    def _expire(self, fsm: _TileFsm) -> None:
+        """The exchange watchdog fired: time the exchange out."""
+        uid = fsm.timeout_uid
+        if fsm.busy and fsm.pending_uid == uid:
+            self.exchanges_timed_out += 1
+            if _obs.sink is not None:
+                _obs.sink.inc("engine.timeouts", self.sim.now)
+                _obs.sink.end_span(
+                    f"xchg:{uid}", self.sim.now, args={"outcome": "timeout"}
                 )
-
-        fsm.timeout_event = self.sim.schedule(timeout, expire)
+            fsm.pending_uid = -1
+            self._finish_exchange(
+                fsm.tid, moved=False, nacked=True, timed_out=True
+            )
 
     def _wake(self, fsm: _TileFsm) -> None:
         """Dynamic-timing speed-up for a tile that just moved coins as a
@@ -441,10 +450,7 @@ class CoinExchangeEngine:
         in ``neighbor_cache`` when a status arrives), which is what the
         hardware can know locally.
         """
-        caps = self.config.thermal_caps
-        cap = self.cap_overrides.get(
-            tid, None if caps is None else caps.get(tid)
-        )
+        cap = self._caps.get(tid)
         hotspot = self.config.hotspot_neighborhood_cap
         if hotspot is None:
             return cap
@@ -509,17 +515,15 @@ class CoinExchangeEngine:
             )
             timeout = self.config.exchange_timeout_cycles
             if timeout is not None:
-                uid = req.exchange_uid
-
-                def unlock() -> None:
-                    # The center died or its update was lost: release the
-                    # lock so this tile's FSM cannot be wedged forever.
-                    if fsm.locked and fsm.lock_uid == uid:
-                        fsm.locked = False
-                        fsm.lock_uid = -1
-                        fsm.lock_event = None
-
-                fsm.lock_event = self.sim.schedule(timeout, unlock)
+                # If the center dies or its update is lost, the lock
+                # watchdog releases the lock so this tile's FSM cannot
+                # be wedged forever.
+                if fsm.lock_event is None:
+                    fsm.lock_event = self.sim.schedule(
+                        timeout, lambda: self._release_lock(fsm)
+                    )
+                else:
+                    self.sim.rearm(fsm.lock_event, timeout)
         self.noc.send(
             Packet(
                 src=packet.dst,
@@ -579,9 +583,13 @@ class CoinExchangeEngine:
                 # ever sent; the initiator's watchdog recovers it.
                 me.locked = False
                 return
-            if self._config_caps or self.cap_overrides:
+            caps = self._caps
+            if self._hotspot:
                 cap_i = self._effective_cap(src)
                 cap_j = self._effective_cap(dst)
+            elif caps:
+                cap_i = caps.get(src)
+                cap_j = caps.get(dst)
             else:
                 cap_i = cap_j = None
             coins = me.coins
@@ -657,10 +665,13 @@ class CoinExchangeEngine:
             has.append(st.has)
             maxes.append(st.max)
         caps: Optional[List[Optional[int]]] = None
-        if self._config_caps or self.cap_overrides:
+        if self._hotspot:
             caps = [self._effective_cap(center.tid)] + [
                 self._effective_cap(nb) for nb in order
             ]
+        elif self._caps:
+            get = self._caps.get
+            caps = [get(center.tid)] + [get(nb) for nb in order]
         deltas = group_deltas(has, maxes, caps)
         moved = any(deltas)
 
@@ -748,8 +759,7 @@ class CoinExchangeEngine:
             # A faulted tile never re-enters the refresh loop.
             fsm.busy = False
             if fsm.timeout_event is not None:
-                fsm.timeout_event.cancel()
-                fsm.timeout_event = None
+                fsm.timeout_event.disarm()
             return
         if _obs.sink is not None:
             outcome = (
@@ -768,8 +778,7 @@ class CoinExchangeEngine:
                 )
         fsm.busy = False
         if fsm.timeout_event is not None:
-            fsm.timeout_event.cancel()
-            fsm.timeout_event = None
+            fsm.timeout_event.disarm()
         cfg = self.config
         partner = fsm.pending_partner
         fsm.pending_partner = -1
@@ -858,8 +867,7 @@ class CoinExchangeEngine:
             fsm.next_event.cancel()
             fsm.next_event = None
         if fsm.timeout_event is not None:
-            fsm.timeout_event.cancel()
-            fsm.timeout_event = None
+            fsm.timeout_event.disarm()
         fsm.busy = False
         self._release_lock(fsm)
         fsm.pending_uid = -1
@@ -869,12 +877,11 @@ class CoinExchangeEngine:
 
     @staticmethod
     def _release_lock(fsm: _TileFsm) -> None:
-        """Unlock a 4-way participant and cancel its lock watchdog."""
+        """Unlock a 4-way participant and disarm its lock watchdog."""
         fsm.locked = False
         fsm.lock_uid = -1
         if fsm.lock_event is not None:
-            fsm.lock_event.cancel()
-            fsm.lock_event = None
+            fsm.lock_event.disarm()
 
     def kill_tile(self, tid: int) -> None:
         """Fail tile ``tid``: registers lost, handler detached.
@@ -1069,6 +1076,11 @@ class CoinExchangeEngine:
             raise EngineError(f"thermal cap must be >= 0, got {cap}")
         else:
             self.cap_overrides[tid] = cap
+        merged = self.cap_overrides.get(tid, self.config.cap_for(tid))
+        if merged is None:
+            self._caps.pop(tid, None)
+        else:
+            self._caps[tid] = merged
 
     def coins(self, tid: int) -> TileCoins:
         """Live coin registers of tile ``tid``."""
@@ -1108,6 +1120,23 @@ class CoinExchangeEngine:
     def coin_packets(self) -> int:
         """Coin-exchange packets injected so far."""
         return self.noc.stats.coin_packets
+
+    def release(self) -> None:
+        """Take a finished engine apart so reference counting frees it.
+
+        An engine is a cyclic graph: the fabric holds its handlers, the
+        simulator its queued events, and each tile its timers, whose
+        callbacks hold the engine.  This drains the simulator, detaches
+        the engine from the fabric and drops every reference back to
+        it.  Counters, coin registers and the tracker stay readable; the
+        engine cannot run again.
+        """
+        self.sim.drain()
+        self.noc.remove_loss_listener(self._on_packet_lost)
+        for tid, fsm in self.fsm.items():
+            self.noc.detach(tid)
+            fsm.next_event = fsm.timeout_event = fsm.lock_event = None
+        del self._status_handler
 
     def run_until_converged(self, max_cycles: int) -> Optional[int]:
         """Run until the tracker stamps convergence (or ``max_cycles``).

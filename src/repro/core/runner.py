@@ -174,6 +174,7 @@ def run_convergence_trial(
         engine.start()
         converged_at = engine.run_until_converged(max_cycles)
         engine.check_conservation()
+    engine.release()
     has = engine.snapshot_has()
     max_ = engine.snapshot_max()
     return TrialResult(
@@ -257,6 +258,7 @@ def settle_to_residual(
         engine.start()
         sim.run(until=settle_cycles)
         engine.check_conservation()
+    engine.release()
     has = engine.snapshot_has()
     max_ = engine.snapshot_max()
     return TrialResult(

@@ -70,6 +70,10 @@ class NocFabric(abc.ABC):
         """Register a callback for terminally lost packets."""
         self._loss_listeners.append(listener)
 
+    def remove_loss_listener(self, listener: LossListener) -> None:
+        """Unregister a callback added by :meth:`add_loss_listener`."""
+        self._loss_listeners.remove(listener)
+
     def send(self, packet: Packet) -> None:
         """Inject ``packet`` at its source tile.
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import math
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.baselines.centralized import (
     CentralizedScheme,
@@ -22,7 +22,6 @@ from repro.baselines.centralized import (
     ProportionalPolicy,
     RoundRobinPolicy,
 )
-from repro.baselines.tokensmart import TokenSmartConfig
 from repro.core.config import BlitzCoinConfig
 from repro.core.engine import CoinExchangeEngine
 from repro.core.metrics import ErrorTracker
@@ -31,6 +30,11 @@ from repro.obs import runtime as _obs
 from repro.power.allocation import AllocationStrategy, allocate
 from repro.power.budget import MAX_COINS_PER_TILE, build_pooled_budget
 from repro.soc.soc import Soc
+
+if TYPE_CHECKING:
+    # At run time only TokenSmartPM's default needs it (imported there),
+    # and its module pulls in the Monte-Carlo trial runner.
+    from repro.baselines.tokensmart import TokenSmartConfig
 
 
 class PMKind(enum.Enum):
@@ -367,7 +371,11 @@ class TokenSmartPM:
         self.tiles = soc.config.managed_accelerators()
         if not self.tiles:
             raise ValueError("SoC has no managed accelerator tiles")
-        self.ts_config = ts_config or TokenSmartConfig()
+        if ts_config is None:
+            from repro.baselines.tokensmart import TokenSmartConfig
+
+            ts_config = TokenSmartConfig()
+        self.ts_config = ts_config
         effective = _effective_budget_mw(soc, self.tiles, budget_mw)
         self.coin_budget = build_pooled_budget(
             strategy, soc.p_max_by_tile(self.tiles), effective

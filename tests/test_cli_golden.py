@@ -28,6 +28,11 @@ CASES = {
         "--obs",
     ],
     "faults-rate": ["faults", "--dim", "4", "--trials", "1", "--rate", "0.05"],
+    # Lossy 4-way: exchange and lock watchdogs both fire.
+    "faults-4way-rate": [
+        "faults", "--variant", "4way", "--dim", "4", "--trials", "1",
+        "--rate", "0.005",
+    ],
     "faults-kill": [
         "faults", "--dim", "4", "--trials", "1", "--kill-tile", "8",
     ],

@@ -131,29 +131,56 @@ class TestFourWayConvergence:
         assert engine.run_until_converged(300_000) is not None
 
 
+def watchdog_trial():
+    """A fault-free d=8 4-way trial run to convergence, with every
+    watchdog event it made: ``(sim, engine, made)``, where ``made`` maps
+    the exchange watchdog (armed in ``_arm_timeout``) and the lock
+    watchdog (armed in ``_on_request``) to their events."""
+    sim, noc, engine = build(d=8, initial=[8 * 64] + [0] * 63)
+    made = {"_arm_timeout": [], "_on_request": []}
+    schedule = sim.schedule
+
+    def recording_schedule(delay, callback, priority=0):
+        event = schedule(delay, callback, priority)
+        # CoinExchangeEngine.<method>.<locals>.<lambda>
+        site = callback.__qualname__.split(".")[1]
+        if site in made:
+            made[site].append(event)
+        return event
+
+    sim.schedule = recording_schedule
+    engine.start()
+    assert engine.run_until_converged(400_000) is not None
+    return sim, engine, made
+
+
 class TestLockWatchdog:
     def test_released_locks_leave_no_pending_watchdog(self):
         """After a fault-free d=8 trial, no more lock watchdogs are
-        still waiting than there are held locks: a lock released by the
-        center's update cancels its watchdog."""
-        sim, noc, engine = build(d=8, initial=[8 * 64] + [0] * 63)
-        watchdogs = []
-        schedule = sim.schedule
-
-        def recording_schedule(delay, callback, priority=0):
-            event = schedule(delay, callback, priority)
-            if callback.__qualname__.endswith("unlock"):
-                watchdogs.append(event)
-            return event
-
-        sim.schedule = recording_schedule
-        engine.start()
-        assert engine.run_until_converged(400_000) is not None
-        assert len(watchdogs) > 100
-        waiting = [
+        still armed than there are held locks: a lock released by the
+        center's update disarms its watchdog."""
+        sim, engine, made = watchdog_trial()
+        # Armed: neither disarmed (sequence number -1) nor out of the
+        # heap (fired or dropped).
+        armed = [
             event
-            for event in watchdogs
-            if not event.cancelled and event.time > sim.now
+            for event in made["_on_request"]
+            if event._seq >= 0 and event._sim is sim
         ]
         held = sum(1 for fsm in engine.fsm.values() if fsm.locked)
-        assert len(waiting) <= held
+        assert len(armed) <= held
+
+    def test_one_watchdog_event_per_tile(self):
+        """In the whole trial each tile makes at most one exchange
+        watchdog event and one lock watchdog event, and re-arms it."""
+        sim, engine, made = watchdog_trial()
+        fsms = list(engine.fsm.values())
+        for site, kept in (
+            ("_arm_timeout", [fsm.timeout_event for fsm in fsms]),
+            ("_on_request", [fsm.lock_event for fsm in fsms]),
+        ):
+            kept = [event for event in kept if event is not None]
+            assert made[site], site
+            # Every event made is the one its tile still holds.
+            assert sorted(map(id, made[site])) == sorted(map(id, kept)), site
+        assert engine.exchanges_started > 10 * len(fsms)

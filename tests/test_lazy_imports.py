@@ -164,6 +164,10 @@ def test_soc_entry_point_loads_no_other_driver_or_harness():
     ]
     harness = LINTER + ("repro.campaign", "repro.serve", "repro.fuzz", "repro.report")
     assert within(loaded, harness) == []
+    # TokenSmart's config and the Monte-Carlo trial runner its module
+    # imports: only a TokenSmart run needs them.
+    trials = ("repro.baselines.tokensmart", "repro.core.runner", "repro.sim.rng")
+    assert within(loaded, trials) == []
 
 
 def test_cli_loads_the_linter_only_to_lint():

@@ -270,3 +270,184 @@ class TestCompaction:
         sim.run()
         assert live == 0
         assert worst <= 0
+
+
+#: Timers in the random script, and the script's operation budget.
+N_TIMERS = 24
+SCRIPT_OPS = 12_000
+
+
+def run_script(use_timers, max_events=None):
+    """One seeded script of one-shot events (scheduled and cancelled)
+    and fixed-delay timers (armed and disarmed), driven from the top
+    level, between bounded runs and from inside callbacks.
+
+    With ``use_timers`` each timer is one event, re-armed with
+    :meth:`Simulator.rearm` and disarmed with :meth:`Event.disarm`;
+    otherwise each arming cancels the timer's last event and schedules
+    a new one, and a disarm is a cancel.  Returns the fired callbacks as
+    ``(cycle, tag)``, the events processed and whether the event budget
+    ran out.
+    """
+    sim = Simulator(max_events=max_events)
+    rng = rng_for(20261020)
+    delays = [int(rng.integers(1, 400)) for _ in range(N_TIMERS)]
+    priorities = [int(rng.integers(0, 3)) for _ in range(N_TIMERS)]
+    timers = [None] * N_TIMERS
+    shots = []
+    fired = []
+    budget = SCRIPT_OPS
+
+    def fire(tag):
+        fired.append((sim.now, tag))
+        step(3)
+
+    def arm(k):
+        event = timers[k]
+        if use_timers and event is not None:
+            sim.rearm(event, delays[k])
+            return
+        if event is not None:
+            event.cancel()
+        timers[k] = sim.schedule(
+            delays[k], lambda: fire(("timer", k)), priorities[k]
+        )
+
+    def disarm(k):
+        event = timers[k]
+        if event is not None and use_timers:
+            event.disarm()
+        elif event is not None:
+            event.cancel()
+
+    def step(count):
+        nonlocal budget
+        for _ in range(min(count, budget)):
+            budget -= 1
+            op = int(rng.integers(0, 5))
+            if op == 0:
+                key = len(shots)
+                shots.append(
+                    sim.schedule(
+                        int(rng.integers(0, 500)),
+                        lambda: fire(("shot", key)),
+                        int(rng.integers(0, 3)),
+                    )
+                )
+            elif op == 1 and shots:
+                for _ in range(4):
+                    shots[int(rng.integers(0, len(shots)))].cancel()
+            elif op in (2, 3):
+                arm(int(rng.integers(0, N_TIMERS)))
+            else:
+                disarm(int(rng.integers(0, N_TIMERS)))
+
+    exhausted = False
+    try:
+        for _ in range(20):
+            step(150)
+            sim.run(until=sim.now + int(rng.integers(0, 300)))
+        sim.run()
+    except SimulationError:
+        exhausted = True
+    return fired, sim._events_processed, exhausted
+
+
+class TestTimers:
+    def test_rearm_fires_like_cancel_and_schedule(self):
+        """The same seeded script, with timers and with cancel +
+        schedule, fires the same callbacks at the same cycles in the
+        same order, and exhausts the same event budget at the same
+        event."""
+        fired, processed, exhausted = run_script(use_timers=True)
+        assert (fired, processed, exhausted) == run_script(use_timers=False)
+        timers_fired = sum(1 for _, tag in fired if tag[0] == "timer")
+        assert len(fired) > 2_000 and timers_fired > 200
+        assert not exhausted and processed == len(fired)
+        budget = processed // 2
+        assert run_script(True, budget) == run_script(False, budget)
+        assert run_script(True, budget)[1:] == (budget, True)
+
+    def test_rearm_earlier_than_armed_raises(self, sim):
+        event = sim.schedule(100, lambda: None)
+        sim.run(until=10)
+        with pytest.raises(SimulationError, match="earlier"):
+            sim.rearm(event, 50)
+        event.disarm()
+        with pytest.raises(SimulationError, match="earlier"):
+            sim.rearm(event, 89)
+        sim.rearm(event, 90)  # cycle 100, as armed: allowed
+        with pytest.raises(SimulationError):
+            sim.rearm(event, -1)
+        event.cancel()
+        with pytest.raises(SimulationError, match="cancelled"):
+            sim.rearm(event, 500)
+
+    def test_rearm_pushes_after_fire_compaction_and_drain(self, sim):
+        fired = []
+        timer = sim.schedule(5, lambda: fired.append(sim.now))
+        sim.run()
+        assert fired == [5] and sim.pending == 0
+        # Fired: the timer has no entry left, so re-arming pushes one.
+        sim.rearm(timer, 5)
+        assert sim.pending == 1
+        sim.run()
+        assert fired == [5, 10]
+
+        # Compacted: a disarmed timer's entry goes with the cancelled.
+        sim.rearm(timer, 1_000)
+        timer.disarm()
+        others = [sim.schedule(20, lambda: None) for _ in range(4 * COMPACT_FLOOR)]
+        before = sim.pending
+        for event in others[: 3 * COMPACT_FLOOR]:
+            event.cancel()
+        assert sim.pending < before - 2 * COMPACT_FLOOR
+        assert all(entry[3] is not timer for entry in sim._queue)
+        before = sim.pending
+        sim.rearm(timer, 1_000)
+        assert sim.pending == before + 1
+        sim.run()
+        assert fired == [5, 10, 1_010]
+
+        # Drained: the entry is gone with the heap.
+        sim.rearm(timer, 7)
+        sim.drain()
+        assert sim.pending == 0
+        sim.rearm(timer, 7)
+        assert sim.pending == 1
+        sim.run()
+        assert fired == [5, 10, 1_010, 1_017]
+
+    def test_disarmed_timer_never_fires(self, sim):
+        fired = []
+        timer = sim.schedule(10, lambda: fired.append(sim.now))
+        for _ in range(5):
+            sim.run_for(3)
+            sim.rearm(timer, 10)
+        timer.disarm()
+        sim.run()
+        assert fired == [] and sim.pending == 0
+        assert sim._events_processed == 0 and sim._cancelled == 0
+
+    def test_run_until_with_stale_head(self):
+        """A re-armed or disarmed timer's stale entry at the head of the
+        heap is moved or dropped without firing or counting."""
+        sim = Simulator(max_events=1)
+        fired = []
+        timer = sim.schedule(10, lambda: fired.append(sim.now))
+        sim.run(until=5)
+        sim.rearm(timer, 20)  # armed for 25; the entry at 10 is stale
+        sim.run(until=20)
+        assert sim.now == 20 and fired == [] and sim.pending == 1
+        with pytest.raises(SimulationError, match="budget"):
+            sim.run(until=30)
+        assert fired == [25]
+
+        sim = Simulator()
+        timer = sim.schedule(10, lambda: fired.append(sim.now))
+        timer.disarm()
+        sim.run(until=20)
+        assert sim.now == 20 and sim.pending == 0
+        sim.rearm(timer, 1)
+        sim.run(until=30)
+        assert fired == [25, 21]
